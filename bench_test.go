@@ -14,6 +14,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/agentplan"
 	"repro/internal/core"
 	"repro/internal/cycles"
 	"repro/internal/grid"
@@ -704,9 +705,10 @@ func BenchmarkDesignSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkRealization isolates Algorithm 1: agent-steps simulated per
-// second on the largest Table I instance.
-func BenchmarkRealization(b *testing.B) {
+// realizationFixture synthesizes the largest Table I instance's cycle set
+// outside any timed region.
+func realizationFixture(b *testing.B) (*cycles.Set, warehouse.Workload) {
+	b.Helper()
 	m, err := maps.Fulfillment2()
 	if err != nil {
 		b.Fatal(err)
@@ -715,18 +717,53 @@ func BenchmarkRealization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre, err := core.Solve(context.Background(), m.S, wl, horizonT, core.Options{})
+	cs, err := cycles.Synthesize(m.S, wl, horizonT, cycles.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	agents := pre.Stats.Agents
+	return cs, wl
+}
+
+// reportAgentSteps reports the plan size a per-timestep benchmark walks and
+// the time per agent-step.
+func reportAgentSteps(b *testing.B, agents int) {
+	steps := float64(agents * horizonT)
+	b.ReportMetric(steps, "agent-steps/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(steps*float64(b.N)), "ns/agent-step")
+}
+
+// BenchmarkRealization isolates Algorithm 1: agentplan.Realize alone on the
+// largest Table I instance (Fulfillment2, 1440 units, T = 3600), its cycle
+// set synthesized beforehand.
+func BenchmarkRealization(b *testing.B) {
+	cs, wl := realizationFixture(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Solve(context.Background(), m.S, wl, horizonT, core.Options{})
-		if err != nil {
+		if _, _, err := agentplan.Realize(cs, wl, horizonT); err != nil {
 			b.Fatal(err)
 		}
-		_ = res
 	}
-	b.ReportMetric(float64(agents*horizonT), "agent-steps/op")
+	b.StopTimer()
+	reportAgentSteps(b, cs.NumAgents())
+}
+
+// BenchmarkValidate isolates validation: sim.Run, the single sweep that
+// checks the §III conditions and tallies deliveries, on the realized plan of
+// the same instance.
+func BenchmarkValidate(b *testing.B) {
+	cs, wl := realizationFixture(b)
+	plan, _, err := agentplan.Realize(cs, wl, horizonT)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := sim.Run(cs.S.W, plan, wl); len(res.Violations) > 0 || res.ServicedAt < 0 {
+			b.Fatal("realized plan does not validate")
+		}
+	}
+	b.StopTimer()
+	reportAgentSteps(b, plan.NumAgents())
 }

@@ -10,6 +10,13 @@
 // which is why a cycle period of tc = 2m timesteps suffices to advance every
 // agent one component (Property 4.1).
 //
+// Agents never overtake inside a component: they enter at Cells[0], shift
+// toward the exit one cell at a time and leave from the exit. So each
+// component keeps its agents in a queue ordered nearest-the-exit first, an
+// agent joins the back when it enters and leaves the front when it crosses,
+// and a timestep costs O(agents + components) rather than a scan of every
+// cell.
+//
 // Pickups and drop-offs follow the product-handling semantics of §III
 // condition (3): the carried-product transition at t+1 is decided by the
 // agent's position at t, so picking and dropping cost no timesteps.
@@ -39,13 +46,15 @@ type Stats struct {
 }
 
 type agent struct {
-	cycle   int // index into cs.Cycles
-	pos     int // index into cycle.Components: the agent's current position
-	vertex  grid.VertexID
-	carried warehouse.ProductID
-	dropPos int // leg DropIdx the agent is heading to, -1 when empty
-	legIdx  int // leg being executed, -1 when empty
-
+	cycle    int             // index into cs.Cycles
+	pos      int             // index into cycle.Components: the agent's current position
+	comp     int             // cycle.Components[pos]
+	cells    []grid.VertexID // cells of comp
+	cell     int             // index into cells: vertex == cells[cell]
+	vertex   grid.VertexID
+	picks    []int32 // legs picking at pos, as flat leg indices in leg order
+	carried  warehouse.ProductID
+	dropPos  int // leg DropIdx the agent is heading to, -1 when empty
 	advanceT int // timestep of the last component advancement
 }
 
@@ -69,40 +78,107 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		return nil, Stats{}, fmt.Errorf("agentplan: invalid cycle set: %v", errs[0])
 	}
 
+	// Legs flattened across cycles: leg li of cycle ci is legBase[ci]+li.
+	// pickLegs[pickStart[at]:pickStart[at+1]] lists, in leg order, the legs
+	// picking at position pos of cycle ci, where at = posBase[ci]+pos, so an
+	// agent at a position with no pick leg skips the leg loop entirely.
+	nCycles := len(cs.Cycles)
+	legBase := make([]int, nCycles+1)
+	posBase := make([]int, nCycles+1)
+	for ci, cyc := range cs.Cycles {
+		legBase[ci+1] = legBase[ci] + len(cyc.Legs)
+		posBase[ci+1] = posBase[ci] + len(cyc.Components)
+	}
+	legs := make([]cycles.Leg, 0, legBase[nCycles])
+	pickStart := make([]int32, posBase[nCycles]+1)
+	pickLegs := make([]int32, 0, legBase[nCycles])
+	for ci, cyc := range cs.Cycles {
+		legs = append(legs, cyc.Legs...)
+		for pos := range cyc.Components {
+			for li, leg := range cyc.Legs {
+				if leg.PickIdx == pos {
+					pickLegs = append(pickLegs, int32(legBase[ci]+li))
+				}
+			}
+			pickStart[posBase[ci]+pos+1] = int32(len(pickLegs))
+		}
+	}
+	picksAt := func(ci, pos int) []int32 {
+		at := posBase[ci] + pos
+		return pickLegs[pickStart[at]:pickStart[at+1]]
+	}
+
+	// Per-component agent queues, nearest the exit first: ring buffers of
+	// agent indices laid end to end in qBuf, component c owning
+	// qBuf[qOff[c] : qOff[c+1]] (one slot per cell; a component never holds
+	// more agents than cells) with its front at qHead[c] and qLen[c] members.
+	nc := s.NumComponents()
+	qOff := make([]int32, nc+1)
+	for c, comp := range s.Components {
+		qOff[c+1] = qOff[c] + int32(len(comp.Cells))
+	}
+	// The components some cycle visits, in ID order: the only ones that
+	// ever hold agents, and so the only ones a timestep walks.
+	visited := make([]bool, nc)
+	for _, cyc := range cs.Cycles {
+		for _, comp := range cyc.Components {
+			visited[comp] = true
+		}
+	}
+	active := make([]int, 0, nc)
+	for c, v := range visited {
+		if v {
+			active = append(active, c)
+		}
+	}
+	qBuf := grid.GetInt32(int(qOff[nc]))
+	qHead := grid.GetInt32(nc)
+	qLen := grid.GetInt32(nc)
+	defer grid.PutInt32(qBuf)
+	defer grid.PutInt32(qHead)
+	defer grid.PutInt32(qLen)
+	push := func(c int, ai int32) {
+		slot := qHead[c] + qLen[c]
+		if size := qOff[c+1] - qOff[c]; slot >= size {
+			slot -= size
+		}
+		qBuf[qOff[c]+slot] = ai
+		qLen[c]++
+	}
+
 	// Instantiate agents: one per cycle position, placed on distinct cells
-	// of the position's component, filling from the exit backward.
-	var agents []*agent
-	nextFree := make([]int, s.NumComponents()) // cells used so far, from exit
+	// of the position's component, filling from the exit backward, so
+	// joining each queue in construction order keeps it exit-first.
+	agents := make([]agent, 0, posBase[nCycles])
 	for ci, cyc := range cs.Cycles {
 		for pos, comp := range cyc.Components {
 			cells := s.Components[comp].Cells
-			slot := len(cells) - 1 - nextFree[comp]
+			slot := len(cells) - 1 - int(qLen[comp])
 			if slot < 0 {
 				return nil, Stats{}, fmt.Errorf("agentplan: component %d overfull at initialization", comp)
 			}
-			nextFree[comp]++
-			a := &agent{
+			push(int(comp), int32(len(agents)))
+			agents = append(agents, agent{
 				cycle:    ci,
 				pos:      pos,
+				comp:     int(comp),
+				cells:    cells,
+				cell:     slot,
 				vertex:   cells[slot],
+				picks:    picksAt(ci, pos),
 				carried:  warehouse.NoProduct,
 				dropPos:  -1,
-				legIdx:   -1,
 				advanceT: -1,
-			}
-			agents = append(agents, a)
+			})
 		}
 	}
 
-	// Mutable pick bookkeeping.
-	legQuota := make([][]int, len(cs.Cycles))
-	for ci, cyc := range cs.Cycles {
-		legQuota[ci] = make([]int, len(cyc.Legs))
-		for li, leg := range cyc.Legs {
-			legQuota[ci][li] = leg.Quota
-		}
+	// Mutable pick bookkeeping: the remaining quota of every flat leg, and
+	// the dense stock, shelf column x product, indexed col*|ρ|+k.
+	legQuota := make([]int, len(legs))
+	for fl, leg := range legs {
+		legQuota[fl] = leg.Quota
 	}
-	// Dense mutable stock: shelf column x product, indexed col*|ρ|+k.
 	p := w.NumProducts
 	stock := grid.GetInt32(len(w.ShelfAccess) * p)
 	defer grid.PutInt32(stock)
@@ -116,6 +192,9 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		}
 	}
 
+	// One allocation per agent row. A single [agents·T] backing array
+	// allocates less, but measured slower to realize and validate, with a
+	// higher resident set, on the Table I mix (DESIGN.md).
 	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, len(agents))}
 	for i := range agents {
 		plan.States[i] = make([]warehouse.AgentState, T)
@@ -127,125 +206,123 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		Delivered:  make([]int, w.NumProducts),
 		ServicedAt: -1,
 	}
-	serviced := func() bool {
-		for k, want := range wl.Units {
-			if stats.Delivered[k] < want {
-				return false
-			}
+	// short counts the products still delivered below their demand.
+	short := 0
+	for _, want := range wl.Units {
+		if want > 0 {
+			short++
 		}
-		return true
 	}
-	if stats.ServicedAt < 0 && serviced() {
+	if short == 0 {
 		stats.ServicedAt = 0
 	}
 
-	// Stamped occupancy arenas, pooled across runs. An entry is valid at the
-	// current step iff its stamp equals the step's stamp, so no per-step
-	// clearing or map allocation happens: occ* holds positions at time t,
-	// new* the claims for t+1, entry* the per-component entry arbitration.
-	nv := w.Graph.NumVertices()
-	occVal := grid.GetInt32(nv)
-	occStamp := grid.GetInt32(nv)
-	newStamp := grid.GetInt32(nv)
-	entryStamp := grid.GetInt32(s.NumComponents())
-	defer grid.PutInt32(occVal)
-	defer grid.PutInt32(occStamp)
-	defer grid.PutInt32(newStamp)
-	defer grid.PutInt32(entryStamp)
+	// Per-component stamps, pooled across runs: a component's entry is
+	// busy at step t iff entryBusy[c] == t+1 (an agent stood on its entry
+	// cell at time t) and taken iff entered[c] == t+1 (an agent crossed in
+	// during the step), so nothing is cleared between steps.
+	entryBusy := grid.GetInt32(nc)
+	entered := grid.GetInt32(nc)
+	defer grid.PutInt32(entryBusy)
+	defer grid.PutInt32(entered)
 
 	for t := 0; t+1 < T; t++ {
 		periodStart := (t / tc) * tc
 		stamp := int32(t) + 1
 
-		// Occupancy at time t, from the agents themselves.
-		for ai, a := range agents {
-			occVal[a.vertex] = int32(ai)
-			occStamp[a.vertex] = stamp
-		}
-
-		// Phase 1: pick/drop decisions from positions at time t.
-		for _, a := range agents {
-			cyc := cs.Cycles[a.cycle]
+		// Entry occupancy at time t, and the pick/drop decisions made from
+		// the time-t positions.
+		for ai := range agents {
+			a := &agents[ai]
+			if a.cell == 0 {
+				entryBusy[a.comp] = stamp
+			}
 			if a.carried == warehouse.NoProduct {
+				if len(a.picks) == 0 {
+					continue
+				}
 				col := w.ShelfColumn(a.vertex)
 				if col < 0 {
 					continue
 				}
-				for li := range cyc.Legs {
-					leg := &cyc.Legs[li]
-					if leg.PickIdx != a.pos || legQuota[a.cycle][li] <= 0 {
-						continue
-					}
-					if stock[col*p+int(leg.Product)] <= 0 {
+				for _, fl := range a.picks {
+					leg := &legs[fl]
+					if legQuota[fl] <= 0 || stock[col*p+int(leg.Product)] <= 0 {
 						continue
 					}
 					stock[col*p+int(leg.Product)]--
-					legQuota[a.cycle][li]--
+					legQuota[fl]--
 					a.carried = leg.Product
 					a.dropPos = leg.DropIdx
-					a.legIdx = li
 					stats.Picks++
 					break
 				}
 			} else if a.pos == a.dropPos && w.IsStation(a.vertex) {
-				stats.Delivered[a.carried]++
+				k := a.carried
+				stats.Delivered[k]++
+				if int(k) < len(wl.Units) && stats.Delivered[k] == wl.Units[k] {
+					short--
+				}
 				a.carried = warehouse.NoProduct
 				a.dropPos = -1
-				a.legIdx = -1
 			}
 		}
 
-		// Phase 2: movement, component by component, members nearest the
-		// exit first. Walking each component's cells from the exit backward
-		// over the time-t occupancy yields exactly that order without the
-		// per-step sort the map-based version needed.
-		for compID := range s.Components {
-			comp := s.Components[compID]
-			cells := comp.Cells
-			rank := 0
-			for ci := len(cells) - 1; ci >= 0; ci-- {
-				v := cells[ci]
-				if occStamp[v] != stamp {
-					continue
+		// Movement, component by component, members nearest the exit
+		// first, each agent's state at t+1 written as it settles. Members
+		// never overtake, so the only agent that can stand on the cell
+		// ahead of a member at time t is the member ahead of it in the
+		// queue. An agent that crossed into a component earlier in this step
+		// sits at the back of its queue and is not moved again.
+		for _, c := range active {
+			n := int(qLen[c])
+			if entered[c] == stamp {
+				n--
+			}
+			base, size, head := qOff[c], qOff[c+1]-qOff[c], qHead[c]
+			ahead := -1 // time-t cell of the member ahead; none for the front
+			for k := 0; k < n; k++ {
+				slot := head + int32(k)
+				if slot >= size {
+					slot -= size
 				}
-				ai := int(occVal[v])
-				a := agents[ai]
-				advanced := false
-				if rank == 0 && a.vertex == comp.Exit() && a.advanceT < periodStart {
+				ai := qBuf[base+slot]
+				a := &agents[ai]
+				cell := a.cell
+				if k == 0 && cell == len(a.cells)-1 && a.advanceT < periodStart {
 					cyc := cs.Cycles[a.cycle]
-					nextPos := (a.pos + 1) % len(cyc.Components)
-					nextComp := cyc.Components[nextPos]
-					entry := s.Components[nextComp].Entry()
-					if entryStamp[nextComp] != stamp {
-						if occStamp[entry] != stamp {
-							entryStamp[nextComp] = stamp
-							a.pos = nextPos
-							a.vertex = entry
-							a.advanceT = t + 1
-							advanced = true
-							stats.Moves++
-						}
+					nextPos := a.pos + 1
+					if nextPos == len(cyc.Components) {
+						nextPos = 0
 					}
-				}
-				if !advanced {
+					nextComp := int(cyc.Components[nextPos])
+					if entered[nextComp] != stamp && entryBusy[nextComp] != stamp {
+						entered[nextComp] = stamp
+						if qHead[c]++; qHead[c] == size {
+							qHead[c] = 0
+						}
+						qLen[c]--
+						push(nextComp, ai)
+						a.pos = nextPos
+						a.comp = nextComp
+						a.cells = s.Components[nextComp].Cells
+						a.cell = 0
+						a.vertex = a.cells[0]
+						a.picks = picksAt(a.cycle, nextPos)
+						a.advanceT = t + 1
+						stats.Moves++
+					}
+				} else if cell+1 < len(a.cells) && cell+1 != ahead {
 					// Internal shift toward the exit.
-					next := s.NextCellAt(a.vertex)
-					if next != grid.None {
-						if occStamp[next] != stamp && newStamp[next] != stamp {
-							a.vertex = next
-							stats.Moves++
-						}
-					}
+					a.cell++
+					a.vertex = a.cells[a.cell]
+					stats.Moves++
 				}
-				newStamp[a.vertex] = stamp
-				rank++
+				ahead = cell
+				plan.States[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
 			}
 		}
-
-		for ai, a := range agents {
-			plan.States[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
-		}
-		if stats.ServicedAt < 0 && serviced() {
+		if stats.ServicedAt < 0 && short == 0 {
 			stats.ServicedAt = t + 1
 		}
 	}

@@ -204,17 +204,14 @@ func (g *Grid) Neighbors(v VertexID, dst []VertexID) []VertexID {
 	return dst
 }
 
-// Adjacent reports whether u and v are distinct adjacent vertices.
+// Adjacent reports whether u and v are distinct adjacent vertices. Vertex
+// IDs outside the grid are adjacent to nothing.
 func (g *Grid) Adjacent(u, v VertexID) bool {
-	if u == v || u == None || v == None {
+	if u == v || u < 0 || int(u) >= len(g.adj) || v < 0 {
 		return false
 	}
-	for _, d := range Dirs {
-		if g.adj[u][d] == v {
-			return true
-		}
-	}
-	return false
+	a := &g.adj[u]
+	return a[0] == v || a[1] == v || a[2] == v || a[3] == v
 }
 
 // DirTo returns the direction from u to adjacent vertex v. ok is false if the

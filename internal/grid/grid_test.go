@@ -100,6 +100,11 @@ func TestAdjacency(t *testing.T) {
 	if g.Adjacent(v, v) {
 		t.Error("vertex adjacent to itself")
 	}
+	for _, bad := range []VertexID{-2, None, VertexID(g.NumVertices()), VertexID(g.NumVertices() + 7)} {
+		if g.Adjacent(bad, v) || g.Adjacent(v, bad) {
+			t.Errorf("out-of-range vertex %d reported adjacent to %d", bad, v)
+		}
+	}
 	// (1,2) is a shelf -> not a vertex; (1,1)'s north neighbor is blocked.
 	mid := g.At(Coord{1, 1})
 	if g.Neighbor(mid, North) != None {

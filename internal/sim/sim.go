@@ -27,47 +27,21 @@ type Result struct {
 	ServicedAt int
 }
 
-// Run replays plan against the warehouse and workload.
+// Run replays plan against the warehouse and workload: one sweep over the
+// plan validates it and collects the statistics. A plan whose agents have
+// different horizons comes back with its violation and zero tallies.
 func Run(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) Result {
-	res := Result{
-		Delivered:  make([]int, w.NumProducts),
-		ServicedAt: -1,
+	var tally warehouse.Tally
+	violations := warehouse.Sweep(w, plan, wl, &tally)
+	return Result{
+		Delivered:     tally.Delivered,
+		DeliveryTimes: tally.DeliveryTimes,
+		Moves:         tally.Moves,
+		Waits:         tally.Waits,
+		Carrying:      tally.Carrying,
+		Violations:    violations,
+		ServicedAt:    tally.ServicedAt,
 	}
-	res.Violations = warehouse.ValidatePlan(w, plan)
-	T := plan.Horizon()
-	c := plan.NumAgents()
-	serviced := func() bool {
-		for k, want := range wl.Units {
-			if res.Delivered[k] < want {
-				return false
-			}
-		}
-		return true
-	}
-	if serviced() {
-		res.ServicedAt = 0
-	}
-	for t := 0; t+1 < T; t++ {
-		for i := 0; i < c; i++ {
-			cur, next := plan.States[i][t], plan.States[i][t+1]
-			if cur.Vertex == next.Vertex {
-				res.Waits++
-			} else {
-				res.Moves++
-			}
-			if cur.Carried != warehouse.NoProduct {
-				res.Carrying++
-			}
-			if cur.Carried != warehouse.NoProduct && next.Carried == warehouse.NoProduct && w.IsStation(cur.Vertex) {
-				res.Delivered[cur.Carried]++
-				res.DeliveryTimes = append(res.DeliveryTimes, t+1)
-			}
-		}
-		if res.ServicedAt < 0 && serviced() {
-			res.ServicedAt = t + 1
-		}
-	}
-	return res
 }
 
 // Throughput bins DeliveryTimes into windows of the given width and returns

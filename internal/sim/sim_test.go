@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/agentplan"
 	"repro/internal/cycles"
+	"repro/internal/maps"
 	"repro/internal/testmaps"
 	"repro/internal/warehouse"
 )
@@ -119,5 +120,59 @@ func TestWindowGrowsOnDemand(t *testing.T) {
 	}
 	if NewWindow(0).Width() != 1 {
 		t.Error("non-positive width should clamp to 1")
+	}
+}
+
+// TestRunRaggedPlan: a plan whose agent 1 has fewer states than agent 0
+// used to panic in the tally loop after validation had already reported
+// it. Run must return the row-length violation and zero tallies.
+func TestRunRaggedPlan(t *testing.T) {
+	w, _ := testmaps.MustRing()
+	v := w.Stations[0]
+	plan := &warehouse.Plan{States: [][]warehouse.AgentState{
+		{{Vertex: v, Carried: warehouse.NoProduct}, {Vertex: v, Carried: warehouse.NoProduct}},
+		{{Vertex: v + 1, Carried: warehouse.NoProduct}},
+	}}
+	res := Run(w, plan, warehouse.Workload{Units: []int{1, 0}})
+	if len(res.Violations) != 1 || res.Violations[0].Agent != 1 || res.Violations[0].Condition != 1 {
+		t.Fatalf("violations = %v, want agent 1's row length", res.Violations)
+	}
+	if res.Moves != 0 || res.Waits != 0 || res.Carrying != 0 || len(res.DeliveryTimes) != 0 || res.ServicedAt != -1 {
+		t.Errorf("ragged plan tallied: %+v", res)
+	}
+	if len(res.Delivered) != w.NumProducts || res.Delivered[0] != 0 || res.Delivered[1] != 0 {
+		t.Errorf("Delivered = %v, want zeros", res.Delivered)
+	}
+}
+
+// TestRunProductOutsideRho: dropping a product outside ρ at a station used
+// to panic indexing Delivered. Run must report it under condition (3) and
+// leave it out of every tally.
+func TestRunProductOutsideRho(t *testing.T) {
+	m, err := maps.SortingCenter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.W
+	v := w.Stations[0]
+	plan := &warehouse.Plan{States: [][]warehouse.AgentState{
+		{{Vertex: v, Carried: 999}, {Vertex: v, Carried: 999}, {Vertex: v, Carried: warehouse.NoProduct}},
+	}}
+	res := Run(w, plan, warehouse.Workload{Units: make([]int, w.NumProducts)})
+	if len(res.Violations) == 0 {
+		t.Fatal("plan carrying product 999 accepted")
+	}
+	for _, v := range res.Violations {
+		if v.Condition != 3 {
+			t.Errorf("violation %v, want condition 3", v)
+		}
+	}
+	if res.Carrying != 0 || len(res.DeliveryTimes) != 0 {
+		t.Errorf("product outside ρ tallied: Carrying=%d DeliveryTimes=%v", res.Carrying, res.DeliveryTimes)
+	}
+	for k, n := range res.Delivered {
+		if n != 0 {
+			t.Errorf("Delivered[%d] = %d, want 0", k, n)
+		}
 	}
 }

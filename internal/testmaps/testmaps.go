@@ -6,8 +6,10 @@ import (
 	"fmt"
 
 	"repro/internal/grid"
+	"repro/internal/maps"
 	"repro/internal/traffic"
 	"repro/internal/warehouse"
+	"repro/internal/workload"
 )
 
 // Ring builds a 10x6 warehouse whose passable cells form a one-way ring
@@ -68,4 +70,41 @@ func MustRing() (*warehouse.Warehouse, *traffic.System) {
 		panic(fmt.Sprintf("testmaps: %v", err))
 	}
 	return w, s
+}
+
+// TableIInstance is one of the nine WSP instances of the paper's Table I.
+type TableIInstance struct {
+	Name string // "<map>-<units>", e.g. "Fulfillment2-1440"
+	Map  *maps.Map
+	WL   warehouse.Workload
+}
+
+// TableI builds the nine Table I instances: Sorting Center with 160, 320
+// and 480 units, Fulfillment1 with 550, 825 and 1100, and Fulfillment2
+// with 1200, 1320 and 1440, each a uniform workload.
+func TableI() ([]TableIInstance, error) {
+	rows := []struct {
+		name  string
+		build func() (*maps.Map, error)
+		units []int
+	}{
+		{"SortingCenter", maps.SortingCenter, []int{160, 320, 480}},
+		{"Fulfillment1", maps.Fulfillment1, []int{550, 825, 1100}},
+		{"Fulfillment2", maps.Fulfillment2, []int{1200, 1320, 1440}},
+	}
+	var out []TableIInstance
+	for _, row := range rows {
+		m, err := row.build()
+		if err != nil {
+			return nil, err
+		}
+		for _, units := range row.units {
+			wl, err := workload.Uniform(m.W, units)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, TableIInstance{fmt.Sprintf("%s-%d", row.name, units), m, wl})
+		}
+	}
+	return out, nil
 }

@@ -29,11 +29,43 @@ func (v PlanViolation) Error() string {
 //
 // ValidatePlan also checks that shelf stock is never over-drawn: the number
 // of units of product k picked up at shelf-access vertex v over the whole
-// plan must not exceed Λ[k][v].
+// plan must not exceed Λ[k][v]. A carried product outside ρ (neither ρ0 nor
+// 0..NumProducts-1) breaches condition (3) where it starts the plan or is
+// dropped.
 func ValidatePlan(w *Warehouse, p *Plan) []PlanViolation {
+	return Sweep(w, p, Workload{}, nil)
+}
+
+// Tally is what a replay of a plan counts alongside validation.
+type Tally struct {
+	// Delivered counts units dropped at stations per product.
+	Delivered []int
+	// DeliveryTimes records the timestep of every delivery, in order.
+	DeliveryTimes []int
+	// Moves counts cell transitions; Waits counts timesteps agents spent
+	// stationary.
+	Moves, Waits int
+	// Carrying counts agent-timesteps spent loaded.
+	Carrying int
+	// ServicedAt is the first timestep by which the workload was fully
+	// delivered, or -1.
+	ServicedAt int
+}
+
+// Sweep replays plan p once, timestep by timestep, and returns the
+// violations ValidatePlan reports, in the same order. When tally is non-nil
+// the same pass also fills it against workload wl (wl is otherwise
+// unused). A carried product outside ρ is left out of the tally. A plan
+// whose agents have different horizons is reported and not replayed; its
+// tally stays empty with ServicedAt -1.
+func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 	var out []PlanViolation
 	T := p.Horizon()
 	c := p.NumAgents()
+	np := w.NumProducts
+	if tally != nil {
+		*tally = Tally{Delivered: make([]int, np), ServicedAt: -1}
+	}
 	for i := 0; i < c; i++ {
 		if len(p.States[i]) != T {
 			out = append(out, PlanViolation{Agent: i, OtherIdx: -1, Condition: 1,
@@ -41,115 +73,171 @@ func ValidatePlan(w *Warehouse, p *Plan) []PlanViolation {
 			return out
 		}
 	}
-	// Per-(vertex,product) pickup totals for stock accounting.
-	type pick struct {
-		v grid.VertexID
-		k ProductID
+	inRho := func(k ProductID) bool { return k >= 0 && int(k) < np }
+	// short counts the products still delivered below their demand.
+	short := 0
+	if tally != nil {
+		for _, want := range wl.Units {
+			if want > 0 {
+				short++
+			}
+		}
+		if short == 0 {
+			tally.ServicedAt = 0
+		}
 	}
-	picked := make(map[pick]int)
+	// Dense per-(shelf column, product) pickup totals for stock accounting,
+	// indexed col*|ρ|+k.
+	picked := grid.GetInt32(len(w.ShelfAccess) * np)
+	defer grid.PutInt32(picked)
 
-	// Stamped occupancy arena: occAgent[v] holds the occupant at timestep t
-	// iff occStamp[v] == t+1, so no per-step clearing is needed.
+	// Stamped occupancy arena with a slot per timestep parity, so step t
+	// can be placed while step t-1 is still being read: at
+	// o = 4v + 2(t&1), occ[o] == t+1 iff an agent stands on v at t, and
+	// occ[o+1] is the last such agent. No per-step clearing is needed.
 	nv := w.Graph.NumVertices()
-	occAgent := grid.GetInt32(nv)
-	occStamp := grid.GetInt32(nv)
-	defer grid.PutInt32(occAgent)
-	defer grid.PutInt32(occStamp)
+	occ := grid.GetInt32(4 * nv)
+	defer grid.PutInt32(occ)
+	states := p.States
+	moves, carrying := 0, 0
+	// One pass per timestep t places every agent at t and checks its move
+	// from t-1. The placement violations of t are held back in pending and
+	// follow the move violations of t-1, the order of checking each step's
+	// positions before the moves out of it.
+	var pending []PlanViolation
 	for t := 0; t < T; t++ {
-		stamp := int32(t) + 1
-		// Condition 2a: vertex conflicts.
-		for i := 0; i < c; i++ {
-			v := p.States[i][t].Vertex
-			if v < 0 || int(v) >= nv {
-				out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
+		stamp, prevStamp := int32(t)+1, int32(t)
+		slot, prevSlot := 2*(t&1), 2*((t+1)&1)
+		for i, row := range states {
+			st := row[t]
+			// Conditions 1 and 2a at t: a vertex on the grid, held by one
+			// agent.
+			if v := st.Vertex; v < 0 || int(v) >= nv {
+				pending = append(pending, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
 					Detail: fmt.Sprintf("vertex %d out of range", v)})
+			} else {
+				o := 4*int(v) + slot
+				if occ[o] == stamp {
+					pending = append(pending, PlanViolation{Timestep: t, Agent: i, OtherIdx: int(occ[o+1]), Condition: 2,
+						Detail: fmt.Sprintf("agents %d and %d both at vertex %d", occ[o+1], i, v)})
+				}
+				occ[o], occ[o+1] = stamp, int32(i)
+			}
+			if t == 0 {
+				if k := st.Carried; k != NoProduct && !inRho(k) {
+					pending = append(pending, PlanViolation{Agent: i, OtherIdx: -1, Condition: 3,
+						Detail: fmt.Sprintf("starts carrying product %d outside ρ", k)})
+				}
 				continue
 			}
-			if occStamp[v] == stamp {
-				out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: int(occAgent[v]), Condition: 2,
-					Detail: fmt.Sprintf("agents %d and %d both at vertex %d", occAgent[v], i, v)})
-			}
-			occAgent[v] = int32(i)
-			occStamp[v] = stamp
-		}
-		if t+1 >= T {
-			break
-		}
-		for i := 0; i < c; i++ {
-			cur, next := p.States[i][t], p.States[i][t+1]
+			from := row[t-1]
+			moved := from.Vertex != st.Vertex
 			// Condition 1: unit moves.
-			if cur.Vertex != next.Vertex && !w.Graph.Adjacent(cur.Vertex, next.Vertex) {
-				out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
-					Detail: fmt.Sprintf("teleport %d -> %d", cur.Vertex, next.Vertex)})
+			if moved && !w.Graph.Adjacent(from.Vertex, st.Vertex) {
+				out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 1,
+					Detail: fmt.Sprintf("teleport %d -> %d", from.Vertex, st.Vertex)})
 			}
 			// Condition 2b: edge swaps.
-			if next.Vertex >= 0 && int(next.Vertex) < nv && occStamp[next.Vertex] == stamp {
-				if j := int(occAgent[next.Vertex]); j != i && p.States[j][t+1].Vertex == cur.Vertex {
+			if v := st.Vertex; v >= 0 && int(v) < nv && occ[4*int(v)+prevSlot] == prevStamp {
+				if j := int(occ[4*int(v)+prevSlot+1]); j != i && states[j][t].Vertex == from.Vertex {
 					if i < j { // report each swap once
-						out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: j, Condition: 2,
-							Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, cur.Vertex, next.Vertex)})
+						out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: j, Condition: 2,
+							Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, from.Vertex, st.Vertex)})
 					}
 				}
 			}
 			// Condition 3: product handling.
-			switch {
-			case cur.Carried == next.Carried:
-				// holding steady is always fine
-			case cur.Carried == NoProduct:
-				// pickup: must stand at a shelf-access vertex stocking it
-				if w.UnitsAt(cur.Vertex, next.Carried) <= 0 {
-					out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
-						Detail: fmt.Sprintf("picked product %d at vertex %d which stocks none", next.Carried, cur.Vertex)})
-				} else {
-					picked[pick{cur.Vertex, next.Carried}]++
+			delivered := false
+			if from.Carried != st.Carried {
+				switch {
+				case from.Carried == NoProduct:
+					// pickup: must stand at a shelf-access vertex stocking it
+					if w.UnitsAt(from.Vertex, st.Carried) <= 0 {
+						out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
+							Detail: fmt.Sprintf("picked product %d at vertex %d which stocks none", st.Carried, from.Vertex)})
+					} else {
+						picked[w.ShelfColumn(from.Vertex)*np+int(st.Carried)]++
+					}
+				case st.Carried == NoProduct:
+					// drop-off: must stand at a station, holding a product of ρ
+					station := w.IsStation(from.Vertex)
+					if !station {
+						out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
+							Detail: fmt.Sprintf("dropped product %d at non-station vertex %d", from.Carried, from.Vertex)})
+					}
+					if !inRho(from.Carried) {
+						out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
+							Detail: fmt.Sprintf("dropped product %d outside ρ", from.Carried)})
+					} else {
+						delivered = station
+					}
+				default:
+					out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: -1, Condition: 3,
+						Detail: fmt.Sprintf("carried product mutated %d -> %d", from.Carried, st.Carried)})
 				}
-			case next.Carried == NoProduct:
-				// drop-off: must stand at a station
-				if !w.IsStation(cur.Vertex) {
-					out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
-						Detail: fmt.Sprintf("dropped product %d at non-station vertex %d", cur.Carried, cur.Vertex)})
+			}
+			if moved {
+				moves++
+			}
+			if inRho(from.Carried) {
+				carrying++
+			}
+			if delivered && tally != nil {
+				k := from.Carried
+				tally.Delivered[k]++
+				tally.DeliveryTimes = append(tally.DeliveryTimes, t)
+				if int(k) < len(wl.Units) && tally.Delivered[k] == wl.Units[k] {
+					short--
 				}
-			default:
-				out = append(out, PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 3,
-					Detail: fmt.Sprintf("carried product mutated %d -> %d", cur.Carried, next.Carried)})
 			}
 		}
+		out = append(out, pending...)
+		pending = pending[:0]
+		if t > 0 && tally != nil && tally.ServicedAt < 0 && short == 0 {
+			tally.ServicedAt = t
+		}
 	}
-	for pk, n := range picked {
-		if have := w.UnitsAt(pk.v, pk.k); n > have {
-			out = append(out, PlanViolation{Timestep: T - 1, Agent: -1, OtherIdx: -1, Condition: 3,
-				Detail: fmt.Sprintf("picked %d units of product %d at vertex %d, stock is %d", n, pk.k, pk.v, have)})
+	if tally != nil && T > 0 {
+		tally.Moves, tally.Waits, tally.Carrying = moves, c*(T-1)-moves, carrying
+	}
+	// Stock over-draw, in shelf-column then product order.
+	for l, v := range w.ShelfAccess {
+		for k := 0; k < np; k++ {
+			if n := int(picked[l*np+k]); n > 0 {
+				if have := w.UnitsAt(v, ProductID(k)); n > have {
+					out = append(out, PlanViolation{Timestep: T - 1, Agent: -1, OtherIdx: -1, Condition: 3,
+						Detail: fmt.Sprintf("picked %d units of product %d at vertex %d, stock is %d", n, k, v, have)})
+				}
+			}
 		}
 	}
 	return out
 }
 
 // Delivered counts, per product, the units a plan transfers to stations: a
-// delivery is a transition carried=k -> carried=ρ0 at a station vertex.
+// delivery is a transition carried=k -> carried=ρ0 at a station vertex, for
+// a product k of ρ.
 func Delivered(w *Warehouse, p *Plan) []int {
-	units := make([]int, w.NumProducts)
-	for i := 0; i < p.NumAgents(); i++ {
-		for t := 0; t+1 < p.Horizon(); t++ {
-			cur, next := p.States[i][t], p.States[i][t+1]
-			if cur.Carried != NoProduct && next.Carried == NoProduct && w.IsStation(cur.Vertex) {
-				units[cur.Carried]++
-			}
-		}
-	}
-	return units
+	var tally Tally
+	Sweep(w, p, Workload{}, &tally)
+	return tally.Delivered
 }
 
 // Services reports whether plan p services workload wl: it is feasible and
 // delivers at least Units[k] of every product k.
 func Services(w *Warehouse, p *Plan, wl Workload) (bool, []PlanViolation) {
-	if v := ValidatePlan(w, p); len(v) > 0 {
+	var tally Tally
+	if v := Sweep(w, p, wl, &tally); len(v) > 0 {
 		return false, v
 	}
-	got := Delivered(w, p)
 	for k, want := range wl.Units {
-		if got[k] < want {
+		got := 0
+		if k < len(tally.Delivered) {
+			got = tally.Delivered[k]
+		}
+		if got < want {
 			return false, []PlanViolation{{Timestep: p.Horizon() - 1, Agent: -1, OtherIdx: -1, Condition: 3,
-				Detail: fmt.Sprintf("delivered %d of product %d, want %d", got[k], k, want)}}
+				Detail: fmt.Sprintf("delivered %d of product %d, want %d", got, k, want)}}
 		}
 	}
 	return true, nil

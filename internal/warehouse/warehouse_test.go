@@ -286,3 +286,39 @@ func TestValidatePlanRaggedStates(t *testing.T) {
 		t.Error("ragged plan accepted")
 	}
 }
+
+// TestProductOutsideRho: a carried product that is neither ρ0 nor a product
+// of ρ breaches condition (3) where it starts the plan and where it is
+// dropped, and is never counted as a delivery. Delivered used to index its
+// per-product counts with it and panic.
+func TestProductOutsideRho(t *testing.T) {
+	w := paperFig1(t)
+	station := w.Graph.At(grid.Coord{X: 1, Y: 0})
+	p := handPlan(
+		AgentState{station, 999},
+		AgentState{station, NoProduct},
+	)
+	vs := ValidatePlan(w, p)
+	if len(vs) != 2 || vs[0].Condition != 3 || vs[1].Condition != 3 {
+		t.Fatalf("violations = %v, want a start and a drop outside ρ", vs)
+	}
+	if got := Delivered(w, p); got[0] != 0 || got[1] != 0 {
+		t.Errorf("Delivered = %v, want none", got)
+	}
+	if ok, _ := Services(w, p, Workload{Units: []int{0, 0}}); ok {
+		t.Error("plan dropping a product outside ρ reported as servicing")
+	}
+}
+
+// TestValidatePlanEmptyRows: agents without a single state make an empty
+// plan, not a malformed one.
+func TestValidatePlanEmptyRows(t *testing.T) {
+	w := paperFig1(t)
+	p := &Plan{States: [][]AgentState{{}, {}}}
+	if vs := ValidatePlan(w, p); len(vs) != 0 {
+		t.Errorf("violations = %v, want none", vs)
+	}
+	if got := Delivered(w, p); got[0] != 0 || got[1] != 0 {
+		t.Errorf("Delivered = %v, want none", got)
+	}
+}
