@@ -28,11 +28,10 @@ race:
 
 # Table I (synthesis and end to end) + Algorithm 1 realization and plan
 # validation in isolation (agent-steps/op, ns/agent-step) + solver-pool
-# throughput + the contract→ILP path (ablation with its exact
-# dense/revised-simplex variants, and the LP-core microbenchmarks incl. the
-# BenchmarkLP Exact/ExactDense representation pairs) + the repeated-solve
-# layers (refinement, lifelong, design sweep), recorded with allocation
-# stats.
+# throughput + the contract→ILP path (ablation with its exact, hybrid and
+# root-cut variants, and the LP-core microbenchmarks in the exact, float
+# and hybrid modes) + the repeated-solve layers (refinement, lifelong,
+# design sweep), recorded with allocation stats.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkTableIParallel|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
@@ -44,7 +43,8 @@ bench:
 bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
-# Long-running dense-vs-revised simplex parity fuzz under the race detector,
+# Long-running parity fuzz of the revised simplex against the dense tableau
+# test oracle (internal/lp/tableau_test.go) under the race detector,
 # plus the parallel-vs-sequential search parity fuzz (workers 1/2/4 against
 # the sequential walk, forced multi-core so subtree workers really overlap).
 # The short version of the same property tests runs in every `go test ./...`;

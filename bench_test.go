@@ -257,18 +257,16 @@ func BenchmarkSynthesizerAblation(b *testing.B) {
 			}
 		})
 	}
-	// The exact-arithmetic contract path: auto (revised at this size) vs
-	// pinned dense is the representation ablation, hybrid is the certified
-	// float-first solve mode, cuts adds the root cutting planes. Auto,
-	// dense and hybrid results are bit-identical; cuts preserves the exact
-	// objective (alternate optima may differ).
+	// The exact-arithmetic contract path: hybrid is the certified
+	// float-first solve mode, cuts adds the root cutting planes. Exact and
+	// hybrid results are bit-identical; cuts preserves the exact objective
+	// (alternate optima may differ).
 	for _, sx := range []struct {
 		name     string
 		simplex  lp.SimplexEngine
 		rootCuts bool
 	}{
 		{"contract-ilp-exact", lp.SimplexAuto, false},
-		{"contract-ilp-exact-dense", lp.SimplexDense, false},
 		{"contract-ilp-exact-hybrid", lp.SimplexHybrid, false},
 		{"contract-ilp-exact-cuts", lp.SimplexAuto, true},
 	} {
@@ -340,11 +338,10 @@ func contractShapedLP(ring, products int, integer bool) *lp.Problem {
 }
 
 // BenchmarkLP isolates the internal/lp solver on contract-shaped problems:
-// the continuous relaxation in both engines and both exact simplex
-// representations (dense tableau vs LU-factorized revised), and the full
-// branch-and-bound ILP likewise. These are the microbenchmarks behind the
-// `flow.Certify` / `SynthesizeContract` / `refine.MinimalHorizon` costs;
-// the Dense/Revised pairs size the SimplexAuto crossover.
+// the continuous relaxation in the exact, float and hybrid modes, and the
+// full branch-and-bound ILP likewise. These are the microbenchmarks behind
+// the `flow.Certify` / `SynthesizeContract` / `refine.MinimalHorizon`
+// costs.
 func BenchmarkLP(b *testing.B) {
 	sizes := []struct {
 		name           string
@@ -363,40 +360,26 @@ func BenchmarkLP(b *testing.B) {
 			obj = append(obj, lp.T(lp.VarID(i), 1))
 		}
 		cont.SetObjective(obj, false) // minimize total flow
-		// "Exact" is the default entry point (SimplexAuto routes these
-		// sizes to the revised engine); "ExactDense" pins the reference
-		// tableau so the representation win stays measurable per snapshot.
-		for _, sx := range []struct {
-			name    string
-			simplex lp.SimplexEngine
-		}{{"Exact", lp.SimplexAuto}, {"ExactDense", lp.SimplexDense}} {
-			b.Run(sx.name+"/"+sz.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sol, err := lp.SolveLPWith(cont, lp.SolveOptions{Simplex: sx.simplex})
-					if err != nil || sol.Status != lp.StatusOptimal {
-						b.Fatalf("status %v err %v", sol.Status, err)
-					}
+		// "Float" is the revised partial-pricing float engine. "Hybrid" is
+		// the certified float-first/exact-verify mode — the number to
+		// compare against "Exact", since both return bit-identical rational
+		// answers.
+		b.Run("Exact/"+sz.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sol, err := lp.SolveLP(cont)
+				if err != nil || sol.Status != lp.StatusOptimal {
+					b.Fatalf("status %v err %v", sol.Status, err)
 				}
-			})
-		}
-		// "Float" routes through floatPick (the revised partial-pricing
-		// engine at these sizes); "FloatDense" pins the float tableau so the
-		// partial-pricing win stays measurable per snapshot. "Hybrid" is the
-		// certified float-first/exact-verify mode — the number to compare
-		// against "Exact", since both return bit-identical rational answers.
-		for _, fx := range []struct {
-			name    string
-			simplex lp.SimplexEngine
-		}{{"Float", lp.SimplexAuto}, {"FloatDense", lp.SimplexDense}} {
-			b.Run(fx.name+"/"+sz.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sol, err := lp.SolveLPFloatWith(cont, lp.SolveOptions{Simplex: fx.simplex})
-					if err != nil || sol.Status != lp.StatusOptimal {
-						b.Fatalf("status %v err %v", sol.Status, err)
-					}
+			}
+		})
+		b.Run("Float/"+sz.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sol, err := lp.SolveLPFloat(cont)
+				if err != nil || sol.Status != lp.StatusOptimal {
+					b.Fatalf("status %v err %v", sol.Status, err)
 				}
-			})
-		}
+			}
+		})
 		b.Run("Hybrid/"+sz.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sol, err := lp.SolveLPWith(cont, lp.SolveOptions{Simplex: lp.SimplexHybrid})
@@ -411,7 +394,6 @@ func BenchmarkLP(b *testing.B) {
 			opts lp.ILPOptions
 		}{
 			{"ILPExact", lp.ILPOptions{Engine: lp.EngineExact}},
-			{"ILPExactDense", lp.ILPOptions{Engine: lp.EngineExact, Simplex: lp.SimplexDense}},
 			{"ILPFloat", lp.ILPOptions{Engine: lp.EngineFloat}},
 			{"ILPHybrid", lp.ILPOptions{Simplex: lp.SimplexHybrid}},
 			{"ILPRootCuts", lp.ILPOptions{RootCuts: true}},

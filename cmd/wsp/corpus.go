@@ -18,7 +18,7 @@ import (
 //
 //	wsp corpus list      [-seed N] [-families a,b]
 //	wsp corpus run       [-seed N] [-families a,b] [-strategy route] [-json report.json] [-bench -]
-//	wsp corpus calibrate [-seed N] [-families a,b] [-autorows 0,8,16] [-maxwork 0,200000] ...
+//	wsp corpus calibrate [-seed N] [-families a,b] [-maxwork 0,200000] [-maxnodes 0,250] ...
 func cmdCorpus(ctx context.Context, args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("usage: wsp corpus <list|run|calibrate> [flags]")
@@ -79,15 +79,22 @@ func cmdCorpusList(args []string) error {
 	return tw.Flush()
 }
 
-func corpusKnobsFlags(fs *flag.FlagSet) (strat, simplex *string, exact *bool, autoRows, maxNodes, searchPar *int, maxWork *int64) {
+func corpusKnobsFlags(fs *flag.FlagSet) (strat *string, exact, hybrid *bool, maxNodes, searchPar *int, maxWork *int64) {
 	strat = fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	simplex = fs.String("simplex", "auto", "exact LP engine: auto, dense, revised, or hybrid")
 	exact = fs.Bool("exact", false, "exact rational arithmetic for the contract strategy")
-	autoRows = fs.Int("autorows", 0, "SimplexAuto dense/revised crossover (0 = default)")
+	hybrid = fs.Bool("hybrid", false, "float-first/exact-verify hybrid exact solves")
 	maxWork = fs.Int64("maxwork", 0, "per-attempt simplex work budget (0 = default)")
 	maxNodes = fs.Int("maxnodes", 0, "per-attempt branch-and-bound node budget (0 = default)")
 	searchPar = fs.Int("search-parallel", 0, "B&B subtree workers (0 = sequential; bit-identical results)")
 	return
+}
+
+// simplexMode maps the -hybrid flag onto the exact solve mode.
+func simplexMode(hybrid bool) wsp.Simplex {
+	if hybrid {
+		return wsp.SimplexHybrid
+	}
+	return wsp.SimplexAuto
 }
 
 // cmdCorpusRun solves the corpus under one knob set and prints per-family
@@ -99,15 +106,11 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 	label := fs.String("label", "corpus", "report label (benchjson snapshot label)")
 	jsonOut := fs.String("json", "", "write the full JSON report to this file")
 	bench := fs.String("bench", "", "write benchjson-compatible lines to this file ('-' = stdout)")
-	strat, simplex, exact, autoRows, maxNodes, searchPar, maxWork := corpusKnobsFlags(fs)
+	strat, exact, hybrid, maxNodes, searchPar, maxWork := corpusKnobsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	strategy, err := wsp.ParseStrategy(*strat)
-	if err != nil {
-		return err
-	}
-	sx, err := wsp.ParseSimplex(*simplex)
 	if err != nil {
 		return err
 	}
@@ -116,7 +119,7 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 		return err
 	}
 	knobs := wsp.CorpusKnobs{
-		Strategy: strategy, Exact: *exact, Simplex: sx, AutoRows: *autoRows,
+		Strategy: strategy, Exact: *exact, Simplex: simplexMode(*hybrid),
 		WorkBudget: *maxWork, NodeBudget: *maxNodes, SearchParallel: *searchPar,
 	}
 	start := time.Now()
@@ -196,26 +199,17 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("corpus calibrate", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "corpus seed (same seed → byte-identical instances)")
 	families := fs.String("families", "stripes", "comma-separated family filter (empty = all)")
-	autoRows := fs.String("autorows", "0,8,16", "comma-separated SimplexAuto crossover values")
 	maxWork := fs.String("maxwork", "0", "comma-separated per-attempt work budgets")
 	maxNodes := fs.String("maxnodes", "0", "comma-separated per-attempt node budgets")
 	widths := fs.String("widths", "0", "comma-separated B&B search widths")
 	strat := fs.String("strategy", "contract", "base synthesis strategy: route, flows, or contract")
-	simplex := fs.String("simplex", "auto", "base exact LP engine: auto, dense, revised, or hybrid")
+	hybrid := fs.Bool("hybrid", false, "base knob: float-first/exact-verify hybrid exact solves")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	strategy, err := wsp.ParseStrategy(*strat)
 	if err != nil {
 		return err
-	}
-	sx, err := wsp.ParseSimplex(*simplex)
-	if err != nil {
-		return err
-	}
-	ars, err := parseInts(*autoRows)
-	if err != nil {
-		return fmt.Errorf("bad -autorows: %w", err)
 	}
 	wbs, err := parseInt64s(*maxWork)
 	if err != nil {
@@ -234,8 +228,8 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 		return err
 	}
 	spec := wsp.CalibrationSpec{
-		Base:     wsp.CorpusKnobs{Strategy: strategy, Simplex: sx},
-		AutoRows: ars, WorkBudgets: wbs, NodeBudgets: nbs, SearchWidths: sws,
+		Base:        wsp.CorpusKnobs{Strategy: strategy, Simplex: simplexMode(*hybrid)},
+		WorkBudgets: wbs, NodeBudgets: nbs, SearchWidths: sws,
 	}
 	start := time.Now()
 	table, err := wsp.CalibrateCorpus(ctx, insts, spec)

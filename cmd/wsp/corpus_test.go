@@ -79,7 +79,7 @@ func TestCmdCorpusRun(t *testing.T) {
 func TestCmdCorpusCalibrate(t *testing.T) {
 	out, err := captureStdout(t, func() error {
 		return cmdCorpusCalibrate(context.Background(), []string{
-			"-families", "rings", "-strategy", "route", "-autorows", "0,16",
+			"-families", "rings", "-strategy", "route", "-maxnodes", "0,250",
 		})
 	})
 	if err != nil {
@@ -90,8 +90,8 @@ func TestCmdCorpusCalibrate(t *testing.T) {
 			t.Errorf("calibrate output missing %q:\n%s", want, out)
 		}
 	}
-	if err := cmdCorpusCalibrate(context.Background(), []string{"-autorows", "x"}); err == nil {
-		t.Error("bad autorows list accepted")
+	if err := cmdCorpusCalibrate(context.Background(), []string{"-maxnodes", "x"}); err == nil {
+		t.Error("bad maxnodes list accepted")
 	}
 	if err := cmdCorpus(context.Background(), []string{"bogus"}); err == nil {
 		t.Error("unknown subcommand accepted")

@@ -192,8 +192,7 @@ func cmdSolve(ctx context.Context, args []string) error {
 	units := fs.Int("units", 160, "total units to move")
 	T := fs.Int("T", 3600, "timestep limit")
 	strat := fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	simplex := fs.String("simplex", "auto", "exact LP engine: auto, dense, revised, or hybrid")
-	hybrid := fs.Bool("hybrid", false, "float-first/exact-verify hybrid solves (same as -simplex hybrid)")
+	hybrid := fs.Bool("hybrid", false, "float-first/exact-verify hybrid exact solves")
 	rootCuts := fs.Bool("root-cuts", false, "Gomory/cover cuts at the exact ILP root")
 	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers (0 = sequential; bit-identical results)")
 	if err := fs.Parse(args); err != nil {
@@ -207,16 +206,11 @@ func cmdSolve(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sx, err := wsp.ParseSimplex(*simplex)
-	if err != nil {
-		return err
-	}
 	wl, err := wsp.UniformWorkload(m.W, *units)
 	if err != nil {
 		return err
 	}
-	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithSimplex(sx),
-		wsp.WithHybrid(*hybrid || sx == wsp.SimplexHybrid), wsp.WithRootCuts(*rootCuts),
+	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithHybrid(*hybrid), wsp.WithRootCuts(*rootCuts),
 		wsp.WithSearchParallel(*searchPar))
 	start := time.Now()
 	res, err := solver.Solve(ctx, wsp.Instance{System: m.S, Workload: wl, Horizon: *T})
@@ -245,8 +239,7 @@ func cmdSweep(ctx context.Context, args []string) error {
 	points := fs.Int("points", 3, "workload levels per topology (units·i/points, i=1..points)")
 	T := fs.Int("T", 3600, "timestep limit")
 	strat := fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
-	simplex := fs.String("simplex", "auto", "exact LP engine: auto, dense, revised, or hybrid")
-	hybrid := fs.Bool("hybrid", false, "float-first/exact-verify hybrid solves (same as -simplex hybrid)")
+	hybrid := fs.Bool("hybrid", false, "float-first/exact-verify hybrid exact solves")
 	rootCuts := fs.Bool("root-cuts", false, "Gomory/cover cuts at the exact ILP root")
 	parallel := fs.Int("parallel", 1, "solver pool width (0 = GOMAXPROCS)")
 	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers (0 = sequential; bit-identical results)")
@@ -265,12 +258,8 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	sx, err := wsp.ParseSimplex(*simplex)
-	if err != nil {
-		return err
-	}
-	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithSimplex(sx), wsp.WithParallel(*parallel),
-		wsp.WithHybrid(*hybrid || sx == wsp.SimplexHybrid), wsp.WithRootCuts(*rootCuts),
+	solver := wsp.New(wsp.WithStrategy(strategy), wsp.WithParallel(*parallel),
+		wsp.WithHybrid(*hybrid), wsp.WithRootCuts(*rootCuts),
 		wsp.WithSearchParallel(*searchPar))
 	start := time.Now()
 	cells, sweepErr := solver.Sweep(ctx, wsp.SweepSpec{

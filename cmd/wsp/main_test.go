@@ -94,23 +94,6 @@ func TestCmdSweepCanceled(t *testing.T) {
 	}
 }
 
-func TestParseSimplex(t *testing.T) {
-	cases := map[string]wsp.Simplex{
-		"auto":    wsp.SimplexAuto,
-		"dense":   wsp.SimplexDense,
-		"revised": wsp.SimplexRevised,
-	}
-	for name, want := range cases {
-		got, err := wsp.ParseSimplex(name)
-		if err != nil || got != want {
-			t.Errorf("ParseSimplex(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := wsp.ParseSimplex("sparse"); err == nil {
-		t.Error("unknown simplex accepted")
-	}
-}
-
 // captureStdout runs f with os.Stdout redirected into a buffer.
 func captureStdout(t *testing.T, f func() error) (string, error) {
 	t.Helper()

@@ -35,11 +35,8 @@ type Knobs struct {
 	Strategy core.Strategy
 	// Exact switches ContractILP to exact rational arithmetic.
 	Exact bool
-	// Simplex is the exact-engine representation override.
+	// Simplex selects the exact solve mode (auto or hybrid).
 	Simplex lp.SimplexEngine
-	// AutoRows overrides the lp.SimplexAuto dense/revised crossover; 0
-	// keeps the calibrated default.
-	AutoRows int
 	// WorkBudget caps per-attempt deterministic simplex work
 	// (core.Options.MaxWork); 0 keeps the footprint-scaled default.
 	WorkBudget int64
@@ -55,7 +52,6 @@ func (k Knobs) coreOptions() core.Options {
 		Strategy:       k.Strategy,
 		ExactILP:       k.Exact,
 		Simplex:        k.Simplex,
-		AutoRows:       k.AutoRows,
 		MaxWork:        k.WorkBudget,
 		MaxNodes:       k.NodeBudget,
 		SearchParallel: k.SearchParallel,
@@ -68,10 +64,6 @@ func simplexName(e lp.SimplexEngine) string {
 	switch e {
 	case lp.SimplexAuto:
 		return "auto"
-	case lp.SimplexDense:
-		return "dense"
-	case lp.SimplexRevised:
-		return "revised"
 	case lp.SimplexHybrid:
 		return "hybrid"
 	}
@@ -84,7 +76,6 @@ type knobsJSON struct {
 	Strategy       string `json:"strategy"`
 	Exact          bool   `json:"exact,omitempty"`
 	Simplex        string `json:"simplex"`
-	AutoRows       int    `json:"auto_rows,omitempty"`
 	WorkBudget     int64  `json:"work_budget,omitempty"`
 	NodeBudget     int    `json:"node_budget,omitempty"`
 	SearchParallel int    `json:"search_parallel,omitempty"`
@@ -96,7 +87,6 @@ func (k Knobs) MarshalJSON() ([]byte, error) {
 		Strategy:       strategyName(k.Strategy),
 		Exact:          k.Exact,
 		Simplex:        simplexName(k.Simplex),
-		AutoRows:       k.AutoRows,
 		WorkBudget:     k.WorkBudget,
 		NodeBudget:     k.NodeBudget,
 		SearchParallel: k.SearchParallel,

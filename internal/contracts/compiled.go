@@ -125,16 +125,8 @@ func (cc *Compiled) RelaxationFeasible() (bool, error) {
 	return cc.RelaxationFeasibleOpts(lp.SolveOptions{})
 }
 
-// RelaxationFeasibleWith is RelaxationFeasible with a per-call simplex
-// representation override — preferred over SetSimplex for callers that
-// share the compiled model, since it leaves no sticky model-level state
-// behind.
-func (cc *Compiled) RelaxationFeasibleWith(sx lp.SimplexEngine) (bool, error) {
-	return cc.RelaxationFeasibleOpts(lp.SolveOptions{Simplex: sx})
-}
-
 // RelaxationFeasibleOpts is RelaxationFeasible with full per-call solve
-// options (simplex representation and cancellation channel).
+// options (solve mode and cancellation channel).
 func (cc *Compiled) RelaxationFeasibleOpts(opts lp.SolveOptions) (bool, error) {
 	sol, err := cc.model.ResolveWith(opts)
 	if err != nil {

@@ -64,11 +64,10 @@ type Options struct {
 	// ExactILP switches the ContractILP strategy to exact rational
 	// arithmetic.
 	ExactILP bool
-	// Simplex overrides the exact LP engines' simplex representation for
-	// the contract path (dense tableau vs LU-factorized revised simplex;
-	// lp.SimplexAuto selects by instance size; lp.SimplexHybrid selects the
-	// float-first/exact-verify hybrid solve mode). Answers are bit-identical
-	// either way — this is a speed knob for benchmarking and tuning.
+	// Simplex selects how the contract path's exact LP solves reach their
+	// answers: lp.SimplexAuto (the zero value) runs the exact revised
+	// engine, lp.SimplexHybrid the float-first/exact-verify hybrid mode.
+	// Answers are bit-identical either way — this is a speed knob.
 	Simplex lp.SimplexEngine
 	// RootCuts enables Gomory fractional and knapsack-cover cuts at the
 	// branch-and-bound root of the contract path's exact ILP solves. The
@@ -83,17 +82,12 @@ type Options struct {
 	AdmissionCheck bool
 	// MaxWork overrides the contract path's per-attempt deterministic
 	// simplex work budget (lp.ILPOptions.MaxWork units); 0 keeps the
-	// tableau-footprint-scaled default. Exhaustion surfaces as an error
+	// footprint-scaled default. Exhaustion surfaces as an error
 	// wrapping lp.ErrBudgetExhausted.
 	MaxWork int64
 	// MaxNodes overrides the contract path's per-attempt branch-and-bound
 	// node budget; 0 keeps the default.
 	MaxNodes int
-	// AutoRows overrides the lp.SimplexAuto dense/revised size crossover
-	// used by the contract path's exact solves (flow.Options.AutoRows); 0
-	// keeps the calibrated default. A pure speed knob: answers are
-	// bit-identical at any setting.
-	AutoRows int
 	// SearchParallel distributes open branch-and-bound subtrees of each
 	// contract-path ILP solve across up to this many workers
 	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Bit-identical
@@ -169,7 +163,7 @@ func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload,
 		// ContractILP strategy would use, so a gated synthesis pays the
 		// compilation once.
 		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{Simplex: opts.Simplex,
-			AutoRows: opts.AutoRows, SearchParallel: opts.SearchParallel}); err != nil {
+			SearchParallel: opts.SearchParallel}); err != nil {
 			return nil, lp.WrapCancelCause(ctx, err)
 		}
 	}
@@ -237,7 +231,7 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 		cs = c
 	case SequentialFlows, ContractILP:
 		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP, Simplex: opts.Simplex,
-			AutoRows: opts.AutoRows, RootCuts: opts.RootCuts, MaxWork: opts.MaxWork,
+			RootCuts: opts.RootCuts, MaxWork: opts.MaxWork,
 			MaxNodes: opts.MaxNodes, SearchParallel: opts.SearchParallel}
 		var set *flow.Set
 		var err error

@@ -69,7 +69,7 @@ func Admit(ctx context.Context, s *traffic.System, wl warehouse.Workload, T int,
 		return CertMaybeFeasible, err
 	}
 	p, _ := goal.ToProblem()
-	sol, err := lp.SolveLPWith(p, lp.SolveOptions{Simplex: opts.Simplex, AutoRows: opts.AutoRows, Cancel: cancelOf(ctx)})
+	sol, err := lp.SolveLPWith(p, lp.SolveOptions{Simplex: opts.Simplex, Cancel: cancelOf(ctx)})
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

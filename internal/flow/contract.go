@@ -211,12 +211,13 @@ const contractNodeBudget = 250
 
 // contractWorkBudget bounds total simplex work per synthesis attempt, in
 // the solver's deterministic row-update units. Nodes alone do not bound
-// latency on large tableaus (a warm reentry of a feasibility relaxation
+// latency on large programs (a warm reentry of a feasibility relaxation
 // can wander arbitrarily, and pivot cost grows with fill-in), so the
-// budget scales with the tableau footprint: the cold root solve costs on
-// the order of 150× rows×cols at contract sizes, leaving a few root-solves
-// worth of slack before the search is declared undecided. The constant
-// floor keeps small instances effectively unbudgeted.
+// budget scales with the dense-tableau footprint the units are charged
+// in: the cold root solve costs on the order of 150× rows×cols at contract
+// sizes, leaving a few root-solves worth of slack before the search is
+// declared undecided. The constant floor keeps small instances
+// effectively unbudgeted.
 func contractWorkBudget(goal *contracts.Contract) int64 {
 	rows := int64(len(goal.Assumptions) + len(goal.Guarantees))
 	cols := int64(len(goal.Vars)) + 2*rows + 1
@@ -244,7 +245,6 @@ func synthesisILPOptions(ctx context.Context, goal *contracts.Contract, opts Opt
 		MaxNodes:       maxNodes,
 		MaxWork:        maxWork,
 		Simplex:        opts.Simplex,
-		AutoRows:       opts.AutoRows,
 		RootCuts:       opts.RootCuts,
 		Cancel:         cancelOf(ctx),
 		SearchParallel: opts.SearchParallel,
@@ -419,11 +419,10 @@ type Options struct {
 	WarmupMargin int
 	// ExactILP switches the contract path to the exact rational ILP engine.
 	ExactILP bool
-	// Simplex overrides the exact engines' simplex representation (dense
-	// tableau vs LU-factorized revised; lp.SimplexAuto selects by instance
-	// size). Answers are bit-identical either way. lp.SimplexHybrid selects
-	// the float-first/exact-verify hybrid solve mode instead of a
-	// representation; certified hybrid answers are bit-identical too.
+	// Simplex selects how the exact solves reach their answers:
+	// lp.SimplexAuto (the zero value) runs the exact revised engine,
+	// lp.SimplexHybrid the float-first/exact-verify hybrid mode. Answers
+	// are bit-identical either way.
 	Simplex lp.SimplexEngine
 	// RootCuts separates Gomory fractional and knapsack-cover cutting
 	// planes at the branch-and-bound root of each exact contract synthesis
@@ -436,7 +435,7 @@ type Options struct {
 	// (contractNodeBudget). Exhaustion wraps lp.ErrBudgetExhausted.
 	MaxNodes int
 	// MaxWork overrides the per-attempt deterministic simplex work budget
-	// (row-update units); 0 selects the tableau-footprint-scaled default
+	// (row-update units); 0 selects the footprint-scaled default
 	// (contractWorkBudget).
 	MaxWork int64
 	// SearchParallel distributes open branch-and-bound subtrees of each
@@ -444,10 +443,8 @@ type Options struct {
 	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Answers, budget
 	// verdicts, and error strings are bit-identical at every width.
 	SearchParallel int
-	// AutoRows overrides the lp.SimplexAuto dense/revised size crossover
-	// for every contract-path solve (lp.SolveOptions.AutoRows /
-	// lp.ILPOptions.AutoRows); 0 keeps the calibrated default. Answers are
-	// unchanged at any setting.
+	// Deprecated: ignored. The LP layer has one simplex engine and no size
+	// crossover left to tune.
 	AutoRows int
 }
 

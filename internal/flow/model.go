@@ -208,9 +208,7 @@ func (cm *ContractModel) Admit(ctx context.Context, s *traffic.System, wl wareho
 	if _, err := cm.target(s, wl, qc, qeff); err != nil {
 		return CertMaybeFeasible, err
 	}
-	// Per-call override only: a SetSimplex here would stick to the retained
-	// model and silently shadow SimplexAuto on later solves.
-	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Simplex: opts.Simplex, AutoRows: opts.AutoRows, Cancel: cancelOf(ctx)})
+	feasible, err := cm.cc.RelaxationFeasibleOpts(lp.SolveOptions{Simplex: opts.Simplex, Cancel: cancelOf(ctx)})
 	if err != nil {
 		return CertMaybeFeasible, err
 	}

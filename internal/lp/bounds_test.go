@@ -20,21 +20,16 @@ func TestSetBoundAliasedFixed(t *testing.T) {
 		p.SetObjective([]Term{T(x, 2), T(y, 3)}, true)
 		return p
 	}
-	for _, sx := range []struct {
-		name    string
-		simplex SimplexEngine
-	}{{"dense", SimplexDense}, {"revised", SimplexRevised}} {
+	for _, sx := range oracleEngines() {
 		t.Run(sx.name, func(t *testing.T) {
-			aliased := NewModel(build())
-			aliased.SetSimplex(sx.simplex)
-			distinct := NewModel(build())
-			distinct.SetSimplex(sx.simplex)
+			aliased := sx.newModel(build())
+			distinct := sx.newModel(build())
 
 			fixed := big.NewRat(4, 1)
 			aliased.SetBound(0, fixed, fixed) // one pointer, both ends
 			distinct.SetBound(0, big.NewRat(4, 1), big.NewRat(4, 1))
 
-			for _, mo := range []*Model{aliased, distinct} {
+			for _, mo := range []retainedModel{aliased, distinct} {
 				sol, err := mo.Resolve()
 				if err != nil {
 					t.Fatal(err)
@@ -60,8 +55,7 @@ func TestSetBoundAliasedFixed(t *testing.T) {
 
 			// Conflicting bounds (distinct pointers, lo > hi) still prove
 			// infeasibility before any pivoting.
-			conflicted := NewModel(build())
-			conflicted.SetSimplex(sx.simplex)
+			conflicted := sx.newModel(build())
 			conflicted.SetBound(0, big.NewRat(7, 1), big.NewRat(3, 1))
 			sol, err := conflicted.Resolve()
 			if err != nil {

@@ -39,13 +39,13 @@ func closedChan() chan struct{} {
 // A solve whose cancellation channel is already closed must return
 // StatusCanceled on the first work-budget tick, before any pivoting.
 func TestSolveILPCanceledBeforeStart(t *testing.T) {
-	for _, sx := range []SimplexEngine{SimplexDense, SimplexRevised} {
-		sol, err := SolveILP(parityILP(7), ILPOptions{Engine: EngineExact, Simplex: sx, Cancel: closedChan()})
+	for _, sx := range oracleEngines() {
+		sol, err := sx.solveILP(parityILP(7), ILPOptions{Engine: EngineExact, Cancel: closedChan()})
 		if err != nil {
-			t.Fatalf("simplex %v: %v", sx, err)
+			t.Fatalf("simplex %v: %v", sx.name, err)
 		}
 		if sol.Status != StatusCanceled {
-			t.Errorf("simplex %v: status %v, want canceled", sx, sol.Status)
+			t.Errorf("simplex %v: status %v, want canceled", sx.name, sol.Status)
 		}
 	}
 }
@@ -100,46 +100,45 @@ func TestModelReusableAfterCancel(t *testing.T) {
 		p.SetObjective([]Term{T(x, 1), T(y, 1)}, false)
 		return p
 	}
-	for _, sx := range []SimplexEngine{SimplexDense, SimplexRevised} {
-		mo := NewModel(build())
-		mo.SetSimplex(sx)
+	for _, sx := range oracleEngines() {
+		mo := sx.newModel(build())
 
 		sol, err := mo.ResolveILP(ILPOptions{Engine: EngineExact, Cancel: closedChan()})
 		if err != nil {
-			t.Fatalf("simplex %v: cancelled solve: %v", sx, err)
+			t.Fatalf("simplex %v: cancelled solve: %v", sx.name, err)
 		}
 		if sol.Status != StatusCanceled {
-			t.Fatalf("simplex %v: status %v, want canceled", sx, sol.Status)
+			t.Fatalf("simplex %v: status %v, want canceled", sx.name, sol.Status)
 		}
 
 		got, err := mo.ResolveILP(ILPOptions{Engine: EngineExact})
 		if err != nil {
-			t.Fatalf("simplex %v: re-solve after cancel: %v", sx, err)
+			t.Fatalf("simplex %v: re-solve after cancel: %v", sx.name, err)
 		}
-		want, err := SolveILP(build(), ILPOptions{Engine: EngineExact, Simplex: sx})
+		want, err := sx.solveILP(build(), ILPOptions{Engine: EngineExact})
 		if err != nil {
-			t.Fatalf("simplex %v: fresh solve: %v", sx, err)
+			t.Fatalf("simplex %v: fresh solve: %v", sx.name, err)
 		}
 		if got.Status != want.Status {
-			t.Fatalf("simplex %v: status %v after cancel, fresh %v", sx, got.Status, want.Status)
+			t.Fatalf("simplex %v: status %v after cancel, fresh %v", sx.name, got.Status, want.Status)
 		}
 		for i := range want.Values {
 			if got.Values[i].Cmp(want.Values[i]) != 0 {
-				t.Errorf("simplex %v: value %d = %v after cancel, fresh %v", sx, i, got.Values[i], want.Values[i])
+				t.Errorf("simplex %v: value %d = %v after cancel, fresh %v", sx.name, i, got.Values[i], want.Values[i])
 			}
 		}
 		// The LP path through the same retained arena must also recover.
 		lpGot, err := mo.Resolve()
 		if err != nil {
-			t.Fatalf("simplex %v: LP re-solve after cancel: %v", sx, err)
+			t.Fatalf("simplex %v: LP re-solve after cancel: %v", sx.name, err)
 		}
-		lpWant, err := SolveLPWith(build(), SolveOptions{Simplex: sx})
+		lpWant, err := sx.solveLP(build(), SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lpGot.Status != lpWant.Status || lpGot.Objective.Cmp(lpWant.Objective) != 0 {
 			t.Errorf("simplex %v: LP after cancel = (%v, %v), fresh (%v, %v)",
-				sx, lpGot.Status, lpGot.Objective, lpWant.Status, lpWant.Objective)
+				sx.name, lpGot.Status, lpGot.Objective, lpWant.Status, lpWant.Objective)
 		}
 	}
 }

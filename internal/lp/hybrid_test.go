@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -216,47 +218,45 @@ func TestHybridDisagreementFallback(t *testing.T) {
 }
 
 // TestFloatRevisedPartialLP sanity-checks the partial-pricing float engine
-// against the exact optimum: same status and an objective within float
-// tolerance, on networks large enough to route to the revised
-// representation.
+// against the exact engine: same status and an objective within float
+// tolerance, on contract-shaped networks, on small random bounded LPs
+// (1–4 rows), and through float branch and bound on small random ILPs.
 func TestFloatRevisedPartialLP(t *testing.T) {
+	floatILP := func(p *Problem) (*Solution, error) { return SolveILP(p, ILPOptions{Engine: EngineFloat}) }
+	exactILP := func(p *Problem) (*Solution, error) { return SolveILP(p, ILPOptions{}) }
 	rounds := parityRounds(t, 40)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(12000 + seed)))
 		p := randomSparseNetwork(rng, 12+rng.Intn(6), 4+rng.Intn(3), false)
-		if floatPick(p, SimplexAuto, 0) != SimplexRevised {
-			t.Fatalf("seed %d: network too small to exercise the revised float engine", seed)
-		}
-		exact, err := SolveLP(p)
-		if err != nil {
-			t.Fatalf("seed %d: exact: %v", seed, err)
-		}
-		fl, err := SolveLPFloatWith(p, SolveOptions{Simplex: SimplexRevised})
-		if err != nil {
-			t.Fatalf("seed %d: float: %v", seed, err)
-		}
-		if exact.Status != fl.Status {
-			t.Fatalf("seed %d: status exact=%v float=%v", seed, exact.Status, fl.Status)
-		}
-		if exact.Status != StatusOptimal {
-			continue
-		}
-		want, _ := exact.Objective.Float64()
-		got, _ := fl.Objective.Float64()
-		diff := want - got
-		if diff < 0 {
-			diff = -diff
-		}
-		scale := 1.0
-		if want > 1 || want < -1 {
-			if want < 0 {
-				scale = -want
-			} else {
-				scale = want
-			}
-		}
-		if diff > 1e-6*scale {
-			t.Fatalf("seed %d: objective exact=%g float=%g", seed, want, got)
-		}
+		requireFloatMatchesExact(t, "network seed "+strconv.Itoa(seed), p, SolveLP, SolveLPFloat)
+		small := randomBoundedProblem(rng, false)
+		requireFloatMatchesExact(t, "small LP seed "+strconv.Itoa(seed), small, SolveLP, SolveLPFloat)
+		ip := randomBoundedProblem(rng, true)
+		requireFloatMatchesExact(t, "small ILP seed "+strconv.Itoa(seed), ip, exactILP, floatILP)
+	}
+}
+
+// requireFloatMatchesExact solves p with both entry points and requires the
+// same status and, at an optimum, objectives within 1e-6 (relative above 1).
+func requireFloatMatchesExact(t *testing.T, tag string, p *Problem, exactSolve, floatSolve func(*Problem) (*Solution, error)) {
+	t.Helper()
+	exact, err := exactSolve(p)
+	if err != nil {
+		t.Fatalf("%s: exact: %v", tag, err)
+	}
+	fl, err := floatSolve(p)
+	if err != nil {
+		t.Fatalf("%s: float: %v", tag, err)
+	}
+	if exact.Status != fl.Status {
+		t.Fatalf("%s: status exact=%v float=%v\n%s", tag, exact.Status, fl.Status, p)
+	}
+	if exact.Status != StatusOptimal || exact.Objective == nil {
+		return
+	}
+	want, _ := exact.Objective.Float64()
+	got, _ := fl.Objective.Float64()
+	if math.Abs(want-got) > 1e-6*math.Max(1, math.Abs(want)) {
+		t.Fatalf("%s: objective exact=%g float=%g\n%s", tag, want, got, p)
 	}
 }

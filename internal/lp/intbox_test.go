@@ -82,7 +82,7 @@ func TestIntegerBoxPreservesOptimum(t *testing.T) {
 	p.Objective = []Term{T(x, 2), T(y, 3)}
 	p.Maximize = true
 	for _, cfg := range parallelConfigs() {
-		sol, err := SolveILP(p, cfg.opts)
+		sol, err := cfg.solve(p, cfg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.tag, err)
 		}
@@ -150,11 +150,11 @@ func TestOpenMarchGuardRejectsUnboundedDomain(t *testing.T) {
 		t.Fatal("expected no derivable bounds")
 	}
 	for _, cfg := range parallelConfigs() {
-		_, err := SolveILP(p, cfg.opts)
+		_, err := cfg.solve(p, cfg.opts)
 		if !errors.Is(err, ErrUnboundedIntDomain) {
 			t.Fatalf("%s: err = %v, want ErrUnboundedIntDomain", cfg.tag, err)
 		}
-		solveAllWorkers(t, cfg.tag, p, cfg.opts)
+		solveAllWorkers(t, cfg.tag, p, cfg.opts, cfg.solve)
 	}
 }
 

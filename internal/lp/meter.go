@@ -6,8 +6,7 @@ import "sync/atomic"
 // committed by finished solves. Every LP solve adds the arena work it spent
 // and every branch-and-bound search adds its fold's committed total — the
 // same deterministic quantity the MaxWork budget is charged against, so the
-// meter advances identically across runs of the same instance sequence (and
-// across simplex representations, which share the work-unit contract).
+// meter advances identically across runs of the same instance sequence.
 //
 // The meter exists for callers that need work attribution without touching
 // Solution values: the corpus runner samples it around each solve to report

@@ -29,16 +29,19 @@ func lowFence(t *testing.T, n int) {
 
 var parallelWorkerCounts = []int{1, 2, 4}
 
+// ilpSolver is SolveILP or an oracle counterpart of it (denseSolveILP).
+type ilpSolver func(*Problem, ILPOptions) (*Solution, error)
+
 // solveAllWorkers solves p sequentially, then at every worker count, and
 // requires each parallel answer — Solution fields and error text alike —
 // to match the sequential one exactly.
-func solveAllWorkers(t *testing.T, tag string, p *Problem, opts ILPOptions) {
+func solveAllWorkers(t *testing.T, tag string, p *Problem, opts ILPOptions, solve ilpSolver) {
 	t.Helper()
-	want, werr := SolveILP(p, opts)
+	want, werr := solve(p, opts)
 	for _, workers := range parallelWorkerCounts {
 		po := opts
 		po.SearchParallel = workers
-		got, gerr := SolveILP(p, po)
+		got, gerr := solve(p, po)
 		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
 			t.Fatalf("%s workers=%d: err=%v, sequential err=%v", tag, workers, gerr, werr)
 		}
@@ -51,23 +54,26 @@ func solveAllWorkers(t *testing.T, tag string, p *Problem, opts ILPOptions) {
 	}
 }
 
-// parallelConfigs is the engine/representation matrix every parity corpus
-// runs through. Hybrid ignores the knob (its replay tree must stay on one
-// certified arena) and root cuts re-enter SolveILP after separation; both
-// must still be answer-identical at every worker count.
-func parallelConfigs() []struct {
-	tag  string
-	opts ILPOptions
-} {
-	return []struct {
-		tag  string
-		opts ILPOptions
-	}{
-		{"exact/dense", ILPOptions{Engine: EngineExact, Simplex: SimplexDense}},
-		{"exact/revised", ILPOptions{Engine: EngineExact, Simplex: SimplexRevised}},
-		{"float", ILPOptions{Engine: EngineFloat}},
-		{"hybrid", ILPOptions{Engine: EngineExact, Simplex: SimplexHybrid}},
-		{"cuts", ILPOptions{Engine: EngineExact, RootCuts: true}},
+// parallelConfig is one entry of the engine matrix: the options and the
+// entry point that solves with them.
+type parallelConfig struct {
+	tag   string
+	opts  ILPOptions
+	solve ilpSolver
+}
+
+// parallelConfigs is the engine matrix every parity corpus runs through,
+// the dense oracle included (its search runs the same parallel executor).
+// Hybrid ignores the knob (its replay tree must stay on one certified
+// arena) and root cuts re-enter SolveILP after separation; both must still
+// be answer-identical at every worker count.
+func parallelConfigs() []parallelConfig {
+	return []parallelConfig{
+		{"exact/dense", ILPOptions{Engine: EngineExact}, denseSolveILP},
+		{"exact/revised", ILPOptions{Engine: EngineExact}, SolveILP},
+		{"float", ILPOptions{Engine: EngineFloat}, SolveILP},
+		{"hybrid", ILPOptions{Engine: EngineExact, Simplex: SimplexHybrid}, SolveILP},
+		{"cuts", ILPOptions{Engine: EngineExact, RootCuts: true}, SolveILP},
 	}
 }
 
@@ -83,13 +89,13 @@ func TestParallelSearchParityFuzz(t *testing.T) {
 		maxNodes := 5 + rng.Intn(60)
 		for _, cfg := range parallelConfigs() {
 			base := fmt.Sprintf("seed=%d %s", seed, cfg.tag)
-			solveAllWorkers(t, base, p, cfg.opts)
+			solveAllWorkers(t, base, p, cfg.opts, cfg.solve)
 			budget := cfg.opts
 			budget.MaxWork = maxWork
-			solveAllWorkers(t, base+"/work", p, budget)
+			solveAllWorkers(t, base+"/work", p, budget, cfg.solve)
 			budget = cfg.opts
 			budget.MaxNodes = maxNodes
-			solveAllWorkers(t, base+"/nodes", p, budget)
+			solveAllWorkers(t, base+"/nodes", p, budget, cfg.solve)
 		}
 	}
 }
@@ -105,7 +111,7 @@ func TestParallelSearchFeasibilityFirstWin(t *testing.T) {
 		p := randomBoundedProblem(rng, true)
 		p.Objective = nil
 		for _, cfg := range parallelConfigs() {
-			solveAllWorkers(t, fmt.Sprintf("seed=%d %s", seed, cfg.tag), p, cfg.opts)
+			solveAllWorkers(t, fmt.Sprintf("seed=%d %s", seed, cfg.tag), p, cfg.opts, cfg.solve)
 		}
 	}
 }
@@ -116,17 +122,14 @@ func TestParallelSearchFeasibilityFirstWin(t *testing.T) {
 func TestParallelSearchBudgetParity(t *testing.T) {
 	lowFence(t, 3)
 	p := parityILP(13)
-	for _, cfg := range []struct {
-		tag  string
-		opts ILPOptions
-	}{
-		{"exact/nodes", ILPOptions{Engine: EngineExact, MaxNodes: 500}},
-		{"exact/work", ILPOptions{Engine: EngineExact, MaxWork: 20000}},
-		{"exact/both", ILPOptions{Engine: EngineExact, MaxNodes: 300, MaxWork: 15000}},
-		{"revised/work", ILPOptions{Engine: EngineExact, Simplex: SimplexRevised, MaxWork: 20000}},
-		{"float/nodes", ILPOptions{Engine: EngineFloat, MaxNodes: 500}},
+	for _, cfg := range []parallelConfig{
+		{"exact/nodes", ILPOptions{Engine: EngineExact, MaxNodes: 500}, SolveILP},
+		{"exact/work", ILPOptions{Engine: EngineExact, MaxWork: 20000}, SolveILP},
+		{"exact/both", ILPOptions{Engine: EngineExact, MaxNodes: 300, MaxWork: 15000}, SolveILP},
+		{"dense/work", ILPOptions{Engine: EngineExact, MaxWork: 20000}, denseSolveILP},
+		{"float/nodes", ILPOptions{Engine: EngineFloat, MaxNodes: 500}, SolveILP},
 	} {
-		solveAllWorkers(t, cfg.tag, p, cfg.opts)
+		solveAllWorkers(t, cfg.tag, p, cfg.opts, cfg.solve)
 	}
 }
 

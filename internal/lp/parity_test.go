@@ -10,10 +10,10 @@ import (
 )
 
 // This file pins the revised simplex engine (revised.go, factor.go) to the
-// dense tableau bit for bit: same Status, same Objective, and the same
-// Values pointer-for-pointerwise-equal rationals, on random LPs and ILPs,
-// through from-scratch solves and through lp.Model edit sequences. The
-// dense engine is the reference; any divergence is a revised-engine bug.
+// dense tableau oracle (tableau_test.go) bit for bit: same Status, same
+// Objective, and equal Values rationals, on random LPs and ILPs, through
+// from-scratch solves and through lp.Model edit sequences. The dense
+// engine is the reference; any divergence is a revised-engine bug.
 //
 // Rounds scale with LP_PARITY_ROUNDS (make test-lp-long sets it high); the
 // default keeps the suite fast enough for every `go test ./...`.
@@ -58,18 +58,18 @@ func requireSameSolution(t *testing.T, tag string, dense, rev *Solution) {
 	}
 }
 
-// TestRevisedParityLP solves random bounded LPs with both exact
-// representations and requires bit-identical solutions.
+// TestRevisedParityLP solves random bounded LPs with the revised engine and
+// the dense oracle and requires bit-identical solutions.
 func TestRevisedParityLP(t *testing.T) {
 	rounds := parityRounds(t, 400)
 	for seed := 0; seed < rounds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		p := randomBoundedProblem(rng, false)
-		dense, err := SolveLPWith(p, SolveOptions{Simplex: SimplexDense})
+		dense, err := denseSolveLP(p, SolveOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		rev, err := SolveLPWith(p, SolveOptions{Simplex: SimplexRevised})
+		rev, err := SolveLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: revised: %v", seed, err)
 		}
@@ -81,10 +81,11 @@ func TestRevisedParityLP(t *testing.T) {
 	}
 }
 
-// TestRevisedParityILP runs the warm-started branch and bound over both
-// representations and requires bit-identical solutions, including under a
-// tight deterministic work budget (the revised engine charges the dense
-// engine's work units, so StatusLimit must strike at the same node).
+// TestRevisedParityILP runs the warm-started branch and bound over the
+// revised engine and the dense oracle and requires bit-identical
+// solutions, including under a tight deterministic work budget (the
+// revised engine charges the dense engine's work units, so StatusLimit
+// must strike at the same node).
 func TestRevisedParityILP(t *testing.T) {
 	rounds := parityRounds(t, 200)
 	for seed := 0; seed < rounds; seed++ {
@@ -94,14 +95,11 @@ func TestRevisedParityILP(t *testing.T) {
 			{},
 			{MaxWork: 40_000},
 		} {
-			dOpts, rOpts := opts, opts
-			dOpts.Simplex = SimplexDense
-			rOpts.Simplex = SimplexRevised
-			dense, err := SolveILP(p, dOpts)
+			dense, err := denseSolveILP(p, opts)
 			if err != nil {
 				t.Fatalf("seed %d: dense: %v", seed, err)
 			}
-			rev, err := SolveILP(p, rOpts)
+			rev, err := SolveILP(p, opts)
 			if err != nil {
 				t.Fatalf("seed %d: revised: %v", seed, err)
 			}
@@ -118,7 +116,7 @@ func TestRevisedParityILP(t *testing.T) {
 // randomEdit applies one random in-place edit through the Model setters,
 // mirroring what refinement probes, lifelong epochs, and branch-and-bound
 // reentry do to a retained model.
-func randomEdit(rng *rand.Rand, mos []*Model) {
+func randomEdit(rng *rand.Rand, mos []retainedModel) {
 	p := mos[0].Problem()
 	switch rng.Intn(3) {
 	case 0: // retarget a bound; sometimes alias lo==hi through one pointer
@@ -164,9 +162,9 @@ func randomEdit(rng *rand.Rand, mos []*Model) {
 	}
 }
 
-// TestRevisedParityModelEdits drives random edit sequences through two
-// retained Models — one pinned dense, one pinned revised — re-solving (LP
-// and ILP) after every edit, and cross-checks both against from-scratch
+// TestRevisedParityModelEdits drives random edit sequences through a
+// retained Model and its dense oracle counterpart (denseModel), re-solving
+// (LP and ILP) after every edit, and cross-checks both against from-scratch
 // solves of the edited problem. This covers the warm dual reentry after
 // SetBound/SetRHS, the phase-2 primal reentry after SetObjective, the
 // unique-optimum certificate, and branch-and-bound node reentry, all over
@@ -181,10 +179,8 @@ func TestRevisedParityModelEdits(t *testing.T) {
 		rng2 := rand.New(rand.NewSource(int64(1000 + seed)))
 		pr := randomBoundedProblem(rng2, integer)
 
-		dm := NewModel(pd)
-		dm.SetSimplex(SimplexDense)
+		dm := newDenseModel(pd)
 		rm := NewModel(pr)
-		rm.SetSimplex(SimplexRevised)
 
 		edits := 3 + rng.Intn(5)
 		for e := 0; e <= edits; e++ {
@@ -192,8 +188,8 @@ func TestRevisedParityModelEdits(t *testing.T) {
 				// Apply the same edit to both models (randomEdit reads
 				// structure from the first).
 				st := rng.Int63()
-				randomEdit(rand.New(rand.NewSource(st)), []*Model{dm})
-				randomEdit(rand.New(rand.NewSource(st)), []*Model{rm})
+				randomEdit(rand.New(rand.NewSource(st)), []retainedModel{dm})
+				randomEdit(rand.New(rand.NewSource(st)), []retainedModel{rm})
 			}
 			tag := "model seed " + strconv.Itoa(seed) + " edit " + strconv.Itoa(e)
 			dense, err := dm.Resolve()
@@ -204,7 +200,7 @@ func TestRevisedParityModelEdits(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: revised resolve: %v", tag, err)
 			}
-			scratch, err := SolveLPWith(dm.Problem(), SolveOptions{Simplex: SimplexDense})
+			scratch, err := denseSolveLP(dm.Problem(), SolveOptions{})
 			if err != nil {
 				t.Fatalf("%s: scratch: %v", tag, err)
 			}
@@ -237,8 +233,8 @@ func TestRevisedParityModelEdits(t *testing.T) {
 }
 
 // randomSparseNetwork builds a larger conservation-plus-capacity LP in the
-// shape the contract compiler emits — enough rows to cross the SimplexAuto
-// threshold and enough pivots to roll the eta file past its refactorization
+// shape the contract compiler emits — the row counts of real contract
+// programs and enough pivots to roll the eta file past its refactorization
 // triggers.
 func randomSparseNetwork(rng *rand.Rand, nodes, commodities int, integer bool) *Problem {
 	p := &Problem{}
@@ -285,8 +281,8 @@ func randomSparseNetwork(rng *rand.Rand, nodes, commodities int, integer bool) *
 	return p
 }
 
-// TestRevisedParityLarge crosses the auto-selection threshold with
-// contract-shaped networks, exercising refactorization and the eta file,
+// TestRevisedParityLarge checks the revised engine against the dense oracle
+// on contract-shaped networks, exercising refactorization and the eta file,
 // and checks parity on LP and ILP solves plus a SetRHS re-solve ride.
 func TestRevisedParityLarge(t *testing.T) {
 	rounds := parityRounds(t, 8)
@@ -294,17 +290,11 @@ func TestRevisedParityLarge(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		integer := seed%2 == 1
 		p := randomSparseNetwork(rng, 12+rng.Intn(6), 4+rng.Intn(3), integer)
-		if len(p.Constraints) < revisedAutoRows {
-			t.Fatalf("seed %d: network too small for auto threshold (%d rows)", seed, len(p.Constraints))
-		}
-		// SimplexAuto routes this size to the revised engine already; pin
-		// both explicitly anyway so the test stays honest if the threshold
-		// moves.
-		dense, err := SolveLPWith(p, SolveOptions{Simplex: SimplexDense})
+		dense, err := denseSolveLP(p, SolveOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: dense: %v", seed, err)
 		}
-		rev, err := SolveLPWith(p, SolveOptions{Simplex: SimplexRevised})
+		rev, err := SolveLP(p)
 		if err != nil {
 			t.Fatalf("seed %d: revised: %v", seed, err)
 		}
@@ -315,11 +305,11 @@ func TestRevisedParityLarge(t *testing.T) {
 			t.Fatalf("%s: status dense=%v revised=%v", tag, dense.Status, rev.Status)
 		}
 		if integer {
-			di, err := SolveILP(p, ILPOptions{Simplex: SimplexDense})
+			di, err := denseSolveILP(p, ILPOptions{})
 			if err != nil {
 				t.Fatalf("%s: dense ILP: %v", tag, err)
 			}
-			ri, err := SolveILP(p, ILPOptions{Simplex: SimplexRevised})
+			ri, err := SolveILP(p, ILPOptions{})
 			if err != nil {
 				t.Fatalf("%s: revised ILP: %v", tag, err)
 			}
@@ -329,11 +319,9 @@ func TestRevisedParityLarge(t *testing.T) {
 				t.Fatalf("%s: ILP status dense=%v revised=%v", tag, di.Status, ri.Status)
 			}
 		}
-		// A SetRHS retarget plus warm re-solve on both representations.
-		dm := NewModel(p)
-		dm.SetSimplex(SimplexDense)
+		// A SetRHS retarget plus warm re-solve on the Model and its oracle.
+		dm := newDenseModel(p)
 		rm := NewModel(p)
-		rm.SetSimplex(SimplexRevised)
 		if _, err := dm.Resolve(); err != nil {
 			t.Fatal(err)
 		}

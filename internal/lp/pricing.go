@@ -7,10 +7,10 @@ package lp
 // cycles forever under pure Dantzig pricing). A nonzero step strictly
 // improves the objective, so no basis can recur across improving steps;
 // within a degenerate stretch Bland's rule cannot cycle. The same stall
-// counter drives the dual reentry loop's rule switch. Both simplex
-// representations — the dense tableau and the revised engine — share this
-// type and observe the identical pivot sequence, which keeps the rule
-// switches (and hence the answers) bit-identical across them.
+// counter drives the dual reentry loop's rule switch. The revised engine
+// and the dense tableau test oracle share this type and observe the
+// identical pivot sequence, which keeps the rule switches (and hence the
+// answers) bit-identical across them.
 type pricer struct {
 	stall     int  // consecutive degenerate steps
 	threshold int  // stalls tolerated before switching rules

@@ -8,39 +8,32 @@ import "math/big"
 // eta file (factor.go), reduced costs are priced by BTRAN + sparse column
 // dots, and pivot columns come from FTRAN — no dense tableau rows exist.
 //
-// The engine is decision-for-decision identical to the dense tableau:
-// Dantzig/Bland pricing over the same reduced costs, the same two-sided
-// ratio test and tie-breaks, the same cold start (logical basis patched
-// with signed artificials), the same dual-simplex warm reentry, and the
-// same deterministic work accounting (a pivot charges the rows an
-// elimination would touch times the dense row length). Because both
-// engines run exact arithmetic, every compared quantity is the same
-// canonical rational in both representations, so the pivot sequences —
-// and therefore the returned Solutions — are bit-identical. The dense
-// tableau stays the reference engine; this one is the fast path for large
-// sparse instances (see pickSimplex).
+// The engine is decision-for-decision identical to the dense tableau it
+// was derived from: Dantzig/Bland pricing over the same reduced costs, the
+// same two-sided ratio test and tie-breaks, the same cold start (logical
+// basis patched with signed artificials), the same dual-simplex warm
+// reentry, and the same deterministic work accounting (a pivot charges the
+// rows an elimination would touch times the dense row length). Because both
+// run exact arithmetic, every compared quantity is the same canonical
+// rational in both representations, so the pivot sequences — and therefore
+// the returned Solutions — are bit-identical. The dense tableau is kept
+// only as a test oracle (tableau_test.go) holding this engine to that
+// contract; the revised engine is the only production simplex.
 //
 // Costs per pivot: the dense tableau pays O(m·(n+1)) row updates; the
 // revised engine pays one BTRAN + one FTRAN (O(factor fill)) plus one
 // reduced-cost pass over the matrix nonzeros. Contract-shaped systems are
-// extremely sparse, which is where the revised engine wins.
+// extremely sparse, which is where the revised engine wins; on small
+// programs the two are within a few microseconds of each other.
 
-// SimplexEngine selects the simplex representation. The exact engines keep
-// a bit-identity contract across representations; the float engine has no
-// such contract (its answers are approximate either way), which frees its
-// revised representation to use partial pricing (see newRevisedFloat).
+// SimplexEngine selects how an exact solve reaches its answer. Both modes
+// return bit-identical Solutions.
 type SimplexEngine int
 
-// Simplex representations.
+// Exact solve modes.
 const (
-	// SimplexAuto routes by instance size: revised for large systems,
-	// dense below the crossover (revisedAutoRows).
+	// SimplexAuto, the zero value, runs the exact revised engine.
 	SimplexAuto SimplexEngine = iota
-	// SimplexDense forces the dense bounded-variable tableau — the
-	// reference engine.
-	SimplexDense
-	// SimplexRevised forces the LU-factorized revised engine.
-	SimplexRevised
 	// SimplexHybrid solves float-first on the revised partial-pricing
 	// float engine, then verifies with the exact engine warm-started from
 	// the float basis; certified answers are bit-identical to an
@@ -49,53 +42,13 @@ const (
 	SimplexHybrid
 )
 
-// revisedAutoRows is the SimplexAuto crossover: systems with at least this
-// many constraint rows route to the revised engine. BenchmarkLP's
-// Exact vs ExactDense pairs sized the cutover: on contract-shaped sparsity
-// the revised engine is at worst even by ~10 rows and pulls away steeply
-// (5× by ~200 rows), while on tiny or dense systems the tableau's tight
-// loops still win; 16 keeps every contract conjunction (the ablation ring
-// is 23 rows) on the revised path without penalizing toy programs.
-const revisedAutoRows = 16
-
-// pickSimplex resolves a SimplexEngine choice against the instance.
-// SimplexHybrid is a solve MODE, not a representation; entry points route
-// it before reaching here, so a hybrid choice that leaks this far falls
-// back to size-based selection of an exact representation. autoRows
-// overrides the SimplexAuto crossover; zero (or negative) keeps the
-// calibrated revisedAutoRows default. The override moves only the routing
-// decision — whichever representation wins returns the same bit-identical
-// Solution, so autoRows is a pure speed knob (and the quantity the corpus
-// calibration stage sweeps).
-func pickSimplex(p *Problem, choice SimplexEngine, autoRows int) SimplexEngine {
-	if choice == SimplexHybrid {
-		choice = SimplexAuto
-	}
-	if choice != SimplexAuto {
-		return choice
-	}
-	if autoRows <= 0 {
-		autoRows = revisedAutoRows
-	}
-	if len(p.Constraints) >= autoRows {
-		return SimplexRevised
-	}
-	return SimplexDense
-}
-
-// floatPick resolves the float engine's representation: same size-based
-// auto rule, with SimplexHybrid folding into auto (hybrid is a property of
-// exact solves; its float half takes the auto choice).
-func floatPick(p *Problem, choice SimplexEngine, autoRows int) SimplexEngine {
-	if choice == SimplexHybrid {
-		choice = SimplexAuto
-	}
-	return pickSimplex(p, choice, autoRows)
-}
-
-// revised is the factorized-basis counterpart of tableau. The column
-// layout, bound arrays, statuses and warm-state flags are identical; only
-// the representation of B⁻¹ differs.
+// revised is the bounded-variable simplex state over field T, with B⁻¹
+// kept as an LU factorization. One arena serves an entire branch-and-bound
+// tree: solveNode re-solves it per node, warm when possible.
+//
+// Column layout: 0..nv-1 structural (one per model variable — free columns
+// are kept free, not split), nv..nv+m-1 logicals (one per row), then m
+// artificial slots used by cold phase-1 starts.
 type revised[T any, A arith[T]] struct {
 	ar       A
 	p        *Problem
@@ -136,7 +89,7 @@ type revised[T any, A arith[T]] struct {
 	workBudget int64
 	// Partial pricing (float engine only): primal pivots price a rotating
 	// candidate window instead of every column. Exact engines never enable
-	// it — the entering choices would diverge from the dense reference and
+	// it — the entering choices would diverge from the dense oracle and
 	// break the bit-identity contract.
 	partial bool
 	pwin    int // rotating window width
@@ -218,8 +171,9 @@ func newRevised[T any, A arith[T]](p *Problem, ar A) *revised[T, A] {
 
 // newRevisedFloat builds the float64 revised engine: the same LU machinery
 // as the exact revised engine, plus partial pricing. The float engine has
-// no bit-identity contract to a reference representation (see
-// SimplexEngine), so the cheaper entering rule is safe here and only here.
+// no bit-identity contract to the dense oracle (its answers are
+// approximate either way), so the cheaper entering rule is safe here and
+// only here.
 func newRevisedFloat(p *Problem) *revised[float64, floatArith] {
 	rv := newRevised[float64, floatArith](p, floatArith{eps: defaultEps})
 	rv.partial = true
@@ -408,10 +362,11 @@ func (rv *revised[T, A]) updateRHS(i int, rhs *big.Rat) {
 	rv.basisOK = false
 }
 
-// updateRHSPristine mirrors tableau.updateRHSPristine for the Model's
-// float revised arena: pristine system only, every warm state dropped —
+// updateRHSPristine retargets constraint i in the pristine system only and
+// drops every warm state. The Model uses it for its float arena:
 // ResolveILP cold-rebuilds the root, so a float warm basis is never
-// consumed and keeping it would be a rounding trap.
+// consumed, and propagating deltas into it would be wasted work per edit
+// and a rounding trap for any future warm reader.
 func (rv *revised[T, A]) updateRHSPristine(i int, rhs *big.Rat) {
 	rv.convRHS[i] = rv.ar.fromRat(rhs)
 	rv.csr.rhs[i] = rhs

@@ -149,10 +149,8 @@ func degradeConfig(cfg wsp.Config, r int) (wsp.Config, []string) {
 	if r >= 1 && cfg.Exact {
 		cfg.Exact = false
 		// The float rung rides the revised partial-pricing float engine:
-		// clear representation overrides (hybrid is an exact-side solve
-		// mode, and a pinned dense tableau would forgo the fast engine)
-		// and the exact-only root cuts, so the degraded solve is the
-		// cheap one.
+		// clear the exact-only hybrid mode and root cuts, so the degraded
+		// config records the cheap solve that actually runs.
 		cfg.Simplex = wsp.SimplexAuto
 		cfg.RootCuts = false
 		steps = append(steps, "float-arith")

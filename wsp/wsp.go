@@ -60,18 +60,14 @@ const (
 	ContractILP = core.ContractILP
 )
 
-// Simplex selects the exact LP engines' representation. Answers are
-// bit-identical across choices; this is a speed knob.
+// Simplex selects how the exact LP solves reach their answers. Answers
+// are bit-identical across choices; this is a speed knob.
 type Simplex = lp.SimplexEngine
 
-// Simplex representations.
+// Exact solve modes.
 const (
-	// SimplexAuto routes by instance size (revised for large systems).
+	// SimplexAuto, the zero value, runs the exact revised simplex.
 	SimplexAuto = lp.SimplexAuto
-	// SimplexDense forces the dense tableau (the reference).
-	SimplexDense = lp.SimplexDense
-	// SimplexRevised forces the LU-factorized revised simplex.
-	SimplexRevised = lp.SimplexRevised
 	// SimplexHybrid solves float-first on the revised partial-pricing
 	// float engine and verifies with the exact engine warm-started from
 	// the float basis; certified answers are bit-identical to exact-only
@@ -92,22 +88,6 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("wsp: unknown strategy %q (want route, flows, or contract)", name)
 }
 
-// ParseSimplex resolves a simplex engine name ("auto", "dense", "revised",
-// "hybrid").
-func ParseSimplex(name string) (Simplex, error) {
-	switch name {
-	case "auto":
-		return SimplexAuto, nil
-	case "dense":
-		return SimplexDense, nil
-	case "revised":
-		return SimplexRevised, nil
-	case "hybrid":
-		return SimplexHybrid, nil
-	}
-	return 0, fmt.Errorf("wsp: unknown simplex %q (want auto, dense, revised, or hybrid)", name)
-}
-
 // Config is the resolved knob set of a Solver: one struct in place of the
 // per-layer option plumbing (core.Options, flow.Options, lp.ILPOptions)
 // that the facade threads internally. Zero value = defaults.
@@ -117,8 +97,9 @@ type Config struct {
 	// Exact switches the ContractILP strategy to exact rational
 	// arithmetic.
 	Exact bool
-	// Simplex overrides the exact LP representation (default SimplexAuto);
-	// SimplexHybrid selects the float-first/exact-verify solve mode.
+	// Simplex selects the exact solve mode: SimplexAuto (the zero value)
+	// runs the exact revised simplex, SimplexHybrid the float-first/
+	// exact-verify mode (see WithHybrid).
 	Simplex Simplex
 	// RootCuts enables Gomory fractional and knapsack-cover cuts at the
 	// branch-and-bound root of exact contract solves. The optimal objective
@@ -140,11 +121,8 @@ type Config struct {
 	// NodeBudget bounds the per-attempt branch-and-bound tree
 	// (0 = default).
 	NodeBudget int
-	// SimplexAutoRows overrides the SimplexAuto dense/revised size
-	// crossover (the constraint-row count at which auto routing prefers
-	// the revised engine) for every exact solve; 0 keeps the calibrated
-	// default. A pure speed knob — answers are bit-identical at any
-	// setting — and one of the quantities `wsp corpus calibrate` sweeps.
+	// Deprecated: ignored. The LP layer has one simplex engine and no size
+	// crossover left to tune.
 	SimplexAutoRows int
 	// Parallel is the SolveBatch / Sweep worker-pool width
 	// (0 = GOMAXPROCS).
@@ -172,7 +150,6 @@ func (c Config) coreOptions() core.Options {
 		MaxAttempts:     c.MaxAttempts,
 		MaxWork:         c.WorkBudget,
 		MaxNodes:        c.NodeBudget,
-		AutoRows:        c.SimplexAutoRows,
 		SearchParallel:  c.SearchParallel,
 		PackParallel:    c.SearchParallel,
 	}
@@ -187,12 +164,8 @@ func WithStrategy(s Strategy) Option { return func(c *Config) { c.Strategy = s }
 // WithExact toggles exact rational arithmetic for the ContractILP strategy.
 func WithExact(exact bool) Option { return func(c *Config) { c.Exact = exact } }
 
-// WithSimplex overrides the exact LP engines' simplex representation.
-func WithSimplex(s Simplex) Option { return func(c *Config) { c.Simplex = s } }
-
 // WithHybrid toggles the float-first/exact-verify hybrid solve mode
-// (shorthand for WithSimplex(SimplexHybrid)); turning it off restores
-// size-based representation selection.
+// (Config.Simplex = SimplexHybrid); turning it off restores SimplexAuto.
 func WithHybrid(on bool) Option {
 	return func(c *Config) {
 		if on {
@@ -222,13 +195,6 @@ func WithMaxAttempts(n int) Option { return func(c *Config) { c.MaxAttempts = n 
 // deterministic row-update units; exhaustion surfaces as an error wrapping
 // ErrBudgetExhausted.
 func WithWorkBudget(units int64) Option { return func(c *Config) { c.WorkBudget = units } }
-
-// WithSimplexAutoRows overrides the SimplexAuto dense/revised size
-// crossover in constraint rows (0 = calibrated default). Routing only;
-// answers are bit-identical at any setting.
-func WithSimplexAutoRows(rows int) Option {
-	return func(c *Config) { c.SimplexAutoRows = rows }
-}
 
 // WithNodeBudget bounds the contract path's per-attempt branch-and-bound
 // tree.
