@@ -33,7 +33,7 @@ race:
 # and hybrid modes) + the repeated-solve layers (refinement, lifelong,
 # design sweep), recorded with allocation stats.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkTableIParallel|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
+	$(GO) test -run '^$$' -bench 'BenchmarkTableI$$|BenchmarkTableIEndToEnd|BenchmarkRealization|BenchmarkValidate|BenchmarkSolveBatch|BenchmarkSynthesizerAblation|BenchmarkLP|BenchmarkRefinement|BenchmarkLifelong|BenchmarkDesignSweep' -benchmem -benchtime 100x . | \
 		$(GO) run ./scripts/benchjson -o BENCH_table1.json -label "$(BENCH_LABEL)"
 
 # Diff the last two recorded snapshots per benchmark — the trajectory file
@@ -44,13 +44,13 @@ bench-compare:
 	$(GO) run ./scripts/benchjson -compare -o BENCH_table1.json
 
 # Long-running parity fuzz of the revised simplex against the dense tableau
-# test oracle (internal/lp/tableau_test.go) under the race detector,
-# plus the parallel-vs-sequential search parity fuzz (workers 1/2/4 against
-# the sequential walk, forced multi-core so subtree workers really overlap).
+# test oracle (internal/lp/tableau_test.go) under the race detector, plus
+# the search-fence fuzz (revised vs oracle under a lowered frontier fence,
+# budgets included; lowered vs production fence unbudgeted).
 # The short version of the same property tests runs in every `go test ./...`;
 # LP_PARITY_ROUNDS scales the fuzz rounds.
 test-lp-long:
-	LP_PARITY_ROUNDS=2000 GOMAXPROCS=4 $(GO) test -race -run 'TestRevisedParity|TestHybridDisagreementFallback|TestFloatRevisedPartialLP|TestParallelSearch' -timeout 40m ./internal/lp
+	LP_PARITY_ROUNDS=2000 $(GO) test -race -run 'TestRevisedParity|TestHybridDisagreementFallback|TestFloatRevisedPartialLP|TestSearchFence' -timeout 40m ./internal/lp
 
 # End-to-end daemon smoke: build wspd, start it, hit /healthz and one
 # /v1/solve, then SIGTERM and require a drain-clean exit 0. This is the

@@ -70,34 +70,6 @@ func BenchmarkTableI(b *testing.B) {
 	}
 }
 
-// BenchmarkTableIParallel is BenchmarkTableI with within-instance
-// parallelism enabled (parallel route packing; the contract strategies add
-// subtree-parallel branch & bound). Answers are bit-identical to the
-// sequential engines, so the delta against BenchmarkTableI is pure
-// speedup — a documented tie on a single-core runner.
-func BenchmarkTableIParallel(b *testing.B) {
-	for _, row := range tableIRows {
-		m, err := row.build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, units := range row.units {
-			wl, err := workload.Uniform(m.W, units)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s_units=%d", row.name, units), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := core.Options{SkipRealization: true, SearchParallel: 4, PackParallel: 4}
-					if _, err := core.Solve(context.Background(), m.S, wl, horizonT, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSolveBatch measures solver-pool throughput: the nine Table I
 // instances solved end to end as one batch, at pool widths 1 and 4. Results
 // are bit-identical across widths (solverpool's parity test asserts it);
@@ -397,12 +369,6 @@ func BenchmarkLP(b *testing.B) {
 			{"ILPFloat", lp.ILPOptions{Engine: lp.EngineFloat}},
 			{"ILPHybrid", lp.ILPOptions{Simplex: lp.SimplexHybrid}},
 			{"ILPRootCuts", lp.ILPOptions{RootCuts: true}},
-			// Subtree-parallel search (bit-identical answers, see
-			// internal/lp/parallel.go); vs ILPExact/ILPFloat these measure
-			// the within-instance speedup — a tie on a single-core runner.
-			{"ILPParallel2", lp.ILPOptions{Engine: lp.EngineExact, SearchParallel: 2}},
-			{"ILPParallel4", lp.ILPOptions{Engine: lp.EngineExact, SearchParallel: 4}},
-			{"ILPParallelFloat4", lp.ILPOptions{Engine: lp.EngineFloat, SearchParallel: 4}},
 		} {
 			b.Run(eng.name+"/"+sz.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -79,13 +79,12 @@ func cmdCorpusList(args []string) error {
 	return tw.Flush()
 }
 
-func corpusKnobsFlags(fs *flag.FlagSet) (strat *string, exact, hybrid *bool, maxNodes, searchPar *int, maxWork *int64) {
+func corpusKnobsFlags(fs *flag.FlagSet) (strat *string, exact, hybrid *bool, maxNodes *int, maxWork *int64) {
 	strat = fs.String("strategy", "route", "synthesis strategy: route, flows, or contract")
 	exact = fs.Bool("exact", false, "exact rational arithmetic for the contract strategy")
 	hybrid = fs.Bool("hybrid", false, "float-first/exact-verify hybrid exact solves")
 	maxWork = fs.Int64("maxwork", 0, "per-attempt simplex work budget (0 = default)")
 	maxNodes = fs.Int("maxnodes", 0, "per-attempt branch-and-bound node budget (0 = default)")
-	searchPar = fs.Int("search-parallel", 0, "B&B subtree workers (0 = sequential; bit-identical results)")
 	return
 }
 
@@ -106,7 +105,7 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 	label := fs.String("label", "corpus", "report label (benchjson snapshot label)")
 	jsonOut := fs.String("json", "", "write the full JSON report to this file")
 	bench := fs.String("bench", "", "write benchjson-compatible lines to this file ('-' = stdout)")
-	strat, exact, hybrid, maxNodes, searchPar, maxWork := corpusKnobsFlags(fs)
+	strat, exact, hybrid, maxNodes, maxWork := corpusKnobsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -120,7 +119,7 @@ func cmdCorpusRun(ctx context.Context, args []string) error {
 	}
 	knobs := wsp.CorpusKnobs{
 		Strategy: strategy, Exact: *exact, Simplex: simplexMode(*hybrid),
-		WorkBudget: *maxWork, NodeBudget: *maxNodes, SearchParallel: *searchPar,
+		WorkBudget: *maxWork, NodeBudget: *maxNodes,
 	}
 	start := time.Now()
 	rep := wsp.RunCorpus(ctx, insts, knobs, *label, *seed)
@@ -201,7 +200,6 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 	families := fs.String("families", "stripes", "comma-separated family filter (empty = all)")
 	maxWork := fs.String("maxwork", "0", "comma-separated per-attempt work budgets")
 	maxNodes := fs.String("maxnodes", "0", "comma-separated per-attempt node budgets")
-	widths := fs.String("widths", "0", "comma-separated B&B search widths")
 	strat := fs.String("strategy", "contract", "base synthesis strategy: route, flows, or contract")
 	hybrid := fs.Bool("hybrid", false, "base knob: float-first/exact-verify hybrid exact solves")
 	if err := fs.Parse(args); err != nil {
@@ -219,17 +217,13 @@ func cmdCorpusCalibrate(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("bad -maxnodes: %w", err)
 	}
-	sws, err := parseInts(*widths)
-	if err != nil {
-		return fmt.Errorf("bad -widths: %w", err)
-	}
 	insts, err := wsp.GenerateCorpus(*seed, parseFamilies(*families)...)
 	if err != nil {
 		return err
 	}
 	spec := wsp.CalibrationSpec{
 		Base:        wsp.CorpusKnobs{Strategy: strategy, Simplex: simplexMode(*hybrid)},
-		WorkBudgets: wbs, NodeBudgets: nbs, SearchWidths: sws,
+		WorkBudgets: wbs, NodeBudgets: nbs,
 	}
 	start := time.Now()
 	table, err := wsp.CalibrateCorpus(ctx, insts, spec)

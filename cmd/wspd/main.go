@@ -7,15 +7,14 @@
 // Usage:
 //
 //	wspd [-addr :8080] [-max-inflight N] [-deadline 30s] [-drain 30s]
-//	     [-strategy route|flows|contract] [-search-parallel N]
-//	     [-no-degrade] [-config wspd.json]
+//	     [-strategy route|flows|contract] [-no-degrade] [-config wspd.json]
 //
 // Every flag can also come from a JSON config file (-config; keys are the
 // flag names with dashes as underscores, e.g. {"max_inflight": 16}) or
-// from the environment (WSPD_ prefix, e.g. WSPD_SEARCH_PARALLEL=4), so
-// parallelism and budget knobs are deployable without rebuilding command
+// from the environment (WSPD_ prefix, e.g. WSPD_MAX_INFLIGHT=16), so
+// admission and budget knobs are deployable without rebuilding command
 // lines. Precedence: explicit flag > WSPD_* environment > config file >
-// built-in default.
+// built-in default. Unknown config keys and WSPD_* variables are rejected.
 //
 // Endpoints:
 //
@@ -67,7 +66,6 @@ func run(args []string) int {
 	drain := fs.Duration("drain", 0, "shutdown drain budget (0 = 30s)")
 	strategy := fs.String("strategy", "contract", "base strategy: route|flows|contract")
 	exact := fs.Bool("exact", false, "base config: exact rational ILP arithmetic")
-	searchPar := fs.Int("search-parallel", 0, "within-instance parallelism: B&B subtree + route-probe workers per solve (0 = sequential; bit-identical results)")
 	noDegrade := fs.Bool("no-degrade", false, "disable the graceful-degradation ladder")
 	clientRate := fs.Int64("client-rate", 0, "per-client budget refill, work units/sec (0 = default)")
 	configPath := fs.String("config", "", "JSON config file (flag names with dashes as underscores); explicit flags and WSPD_* env vars override it")
@@ -86,7 +84,7 @@ func run(args []string) int {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	srv := server.New(server.Config{
-		Solver:          wsp.Config{Strategy: st, Exact: *exact, SearchParallel: *searchPar},
+		Solver:          wsp.Config{Strategy: st, Exact: *exact},
 		MaxInFlight:     *maxInFlight,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
@@ -135,7 +133,8 @@ func run(args []string) int {
 // from WSPD_* environment variables first, then from the JSON config file,
 // so the precedence is: explicit flag > environment > config file >
 // built-in default. Config keys are flag names with dashes as underscores;
-// unknown keys are rejected (a typo must not silently deploy a default).
+// unknown keys and WSPD_* variables are rejected (a typo must not silently
+// deploy a default).
 func applyOverrides(fs *flag.FlagSet, configPath string) error {
 	var file map[string]any
 	if configPath != "" {
@@ -177,6 +176,13 @@ func applyOverrides(fs *flag.FlagSet, configPath string) error {
 	for key := range file {
 		if !known[key] || key == "config" {
 			return fmt.Errorf("config %s: unknown key %q", configPath, key)
+		}
+	}
+	for _, kv := range os.Environ() {
+		name, _, _ := strings.Cut(kv, "=")
+		key, ok := strings.CutPrefix(name, "WSPD_")
+		if key = strings.ToLower(key); ok && (!known[key] || key == "config") {
+			return fmt.Errorf("unknown environment variable %s", name)
 		}
 	}
 	return nil

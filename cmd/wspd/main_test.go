@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,13 +15,12 @@ import (
 func testFlags() (*flag.FlagSet, map[string]any) {
 	fs := flag.NewFlagSet("wspd", flag.ContinueOnError)
 	vals := map[string]any{
-		"addr":            fs.String("addr", ":8080", ""),
-		"max-inflight":    fs.Int("max-inflight", 0, ""),
-		"deadline":        fs.Duration("deadline", 0, ""),
-		"search-parallel": fs.Int("search-parallel", 0, ""),
-		"no-degrade":      fs.Bool("no-degrade", false, ""),
-		"client-rate":     fs.Int64("client-rate", 0, ""),
-		"config":          fs.String("config", "", ""),
+		"addr":         fs.String("addr", ":8080", ""),
+		"max-inflight": fs.Int("max-inflight", 0, ""),
+		"deadline":     fs.Duration("deadline", 0, ""),
+		"no-degrade":   fs.Bool("no-degrade", false, ""),
+		"client-rate":  fs.Int64("client-rate", 0, ""),
+		"config":       fs.String("config", "", ""),
 	}
 	return fs, vals
 }
@@ -40,7 +40,7 @@ func TestConfigFileFillsDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeConfig(t, `{"addr": ":9090", "max_inflight": 16, "deadline": "45s",
-		"search_parallel": 4, "no_degrade": true, "client_rate": 123456}`)
+		"no_degrade": true, "client_rate": 123456}`)
 	if err := applyOverrides(fs, path); err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +52,6 @@ func TestConfigFileFillsDefaults(t *testing.T) {
 	}
 	if got := *vals["deadline"].(*time.Duration); got != 45*time.Second {
 		t.Errorf("deadline = %v", got)
-	}
-	if got := *vals["search-parallel"].(*int); got != 4 {
-		t.Errorf("search-parallel = %d", got)
 	}
 	if !*vals["no-degrade"].(*bool) {
 		t.Error("no-degrade not applied")
@@ -70,16 +67,16 @@ func TestExplicitFlagBeatsEnvBeatsConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Setenv("WSPD_MAX_INFLIGHT", "7")
-	t.Setenv("WSPD_SEARCH_PARALLEL", "2")
-	path := writeConfig(t, `{"max_inflight": 16, "search_parallel": 8, "addr": ":7070"}`)
+	t.Setenv("WSPD_CLIENT_RATE", "2")
+	path := writeConfig(t, `{"max_inflight": 16, "client_rate": 8, "addr": ":7070"}`)
 	if err := applyOverrides(fs, path); err != nil {
 		t.Fatal(err)
 	}
 	if got := *vals["max-inflight"].(*int); got != 3 {
 		t.Errorf("explicit flag overridden: max-inflight = %d, want 3", got)
 	}
-	if got := *vals["search-parallel"].(*int); got != 2 {
-		t.Errorf("env override lost: search-parallel = %d, want 2", got)
+	if got := *vals["client-rate"].(*int64); got != 2 {
+		t.Errorf("env override lost: client-rate = %d, want 2", got)
 	}
 	if got := *vals["addr"].(*string); got != ":7070" {
 		t.Errorf("config file value lost: addr = %q, want :7070", got)
@@ -103,6 +100,38 @@ func TestConfigRejectsUnknownKeyAndBadValue(t *testing.T) {
 	}
 	if err := applyOverrides(fs, filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Error("missing config file accepted")
+	}
+	fs, _ = testFlags()
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("WSPD_MAX_INFLGHT", "16")
+	if err := applyOverrides(fs, ""); err == nil || !strings.Contains(err.Error(), "unknown environment variable WSPD_MAX_INFLGHT") {
+		t.Errorf("typo'd environment variable: err = %v", err)
+	}
+}
+
+// wspd has no within-instance search width: its flag, environment variable
+// and config key are rejected rather than silently ignored. The listen
+// address is unusable, so a wrongly accepted setting fails with exit 1
+// instead of serving.
+func TestSearchWidthSettingsRejected(t *testing.T) {
+	noServe := []string{"-addr", "not-an-address"}
+	if code := run(append(noServe, "-search-parallel", "2")); code != 2 {
+		t.Errorf("-search-parallel: exit %d, want 2 (unknown flag)", code)
+	}
+	path := writeConfig(t, `{"search_parallel": 4}`)
+	fs := flag.NewFlagSet("wspd", flag.ContinueOnError)
+	fs.String("config", "", "")
+	if err := applyOverrides(fs, path); err == nil || !strings.Contains(err.Error(), `unknown key "search_parallel"`) {
+		t.Errorf("config key search_parallel: err = %v, want unknown key", err)
+	}
+	if code := run(append(noServe, "-config", path)); code != 2 {
+		t.Errorf("config key search_parallel: exit %d, want 2", code)
+	}
+	t.Setenv("WSPD_SEARCH_PARALLEL", "2")
+	if code := run(noServe); code != 2 {
+		t.Errorf("WSPD_SEARCH_PARALLEL: exit %d, want 2", code)
 	}
 }
 

@@ -42,19 +42,15 @@ type Knobs struct {
 	WorkBudget int64
 	// NodeBudget caps per-attempt branch-and-bound nodes; 0 = default.
 	NodeBudget int
-	// SearchParallel is the branch-and-bound subtree worker width
-	// (0 or 1 = sequential).
-	SearchParallel int
 }
 
 func (k Knobs) coreOptions() core.Options {
 	return core.Options{
-		Strategy:       k.Strategy,
-		ExactILP:       k.Exact,
-		Simplex:        k.Simplex,
-		MaxWork:        k.WorkBudget,
-		MaxNodes:       k.NodeBudget,
-		SearchParallel: k.SearchParallel,
+		Strategy: k.Strategy,
+		ExactILP: k.Exact,
+		Simplex:  k.Simplex,
+		MaxWork:  k.WorkBudget,
+		MaxNodes: k.NodeBudget,
 	}
 }
 
@@ -73,23 +69,21 @@ func simplexName(e lp.SimplexEngine) string {
 // knobsJSON is the report wire form of Knobs: enum knobs as names, not
 // iota values, so reports stay readable and stable across enum reorders.
 type knobsJSON struct {
-	Strategy       string `json:"strategy"`
-	Exact          bool   `json:"exact,omitempty"`
-	Simplex        string `json:"simplex"`
-	WorkBudget     int64  `json:"work_budget,omitempty"`
-	NodeBudget     int    `json:"node_budget,omitempty"`
-	SearchParallel int    `json:"search_parallel,omitempty"`
+	Strategy   string `json:"strategy"`
+	Exact      bool   `json:"exact,omitempty"`
+	Simplex    string `json:"simplex"`
+	WorkBudget int64  `json:"work_budget,omitempty"`
+	NodeBudget int    `json:"node_budget,omitempty"`
 }
 
 // MarshalJSON renders enum knobs by name.
 func (k Knobs) MarshalJSON() ([]byte, error) {
 	return json.Marshal(knobsJSON{
-		Strategy:       strategyName(k.Strategy),
-		Exact:          k.Exact,
-		Simplex:        simplexName(k.Simplex),
-		WorkBudget:     k.WorkBudget,
-		NodeBudget:     k.NodeBudget,
-		SearchParallel: k.SearchParallel,
+		Strategy:   strategyName(k.Strategy),
+		Exact:      k.Exact,
+		Simplex:    simplexName(k.Simplex),
+		WorkBudget: k.WorkBudget,
+		NodeBudget: k.NodeBudget,
 	})
 }
 

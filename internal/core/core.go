@@ -88,17 +88,6 @@ type Options struct {
 	// MaxNodes overrides the contract path's per-attempt branch-and-bound
 	// node budget; 0 keeps the default.
 	MaxNodes int
-	// SearchParallel distributes open branch-and-bound subtrees of each
-	// contract-path ILP solve across up to this many workers
-	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Bit-identical
-	// results at every width; extra workers are clamped by a process-wide
-	// token pool, so solver-pool workers stacking this knob cannot
-	// oversubscribe the machine.
-	SearchParallel int
-	// PackParallel probes route-packing cycle candidates with up to this
-	// many workers (cycles.Options.PackParallel; 0 or 1 = sequential).
-	// Same bit-identity and oversubscription guarantees.
-	PackParallel int
 }
 
 // Timing breaks down where Solve spent its time.
@@ -162,8 +151,7 @@ func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload,
 		// The admission LP runs on the same compiled contract model the
 		// ContractILP strategy would use, so a gated synthesis pays the
 		// compilation once.
-		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{Simplex: opts.Simplex,
-			SearchParallel: opts.SearchParallel}); err != nil {
+		if err := sc.contract.MustAdmit(ctx, s, wl, T, flow.Options{Simplex: opts.Simplex}); err != nil {
 			return nil, lp.WrapCancelCause(ctx, err)
 		}
 	}
@@ -222,8 +210,7 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 	var cs *cycles.Set
 	switch opts.Strategy {
 	case RoutePacking:
-		c, err := cycles.Synthesize(s, wl, T, cycles.Options{WarmupMargin: margin, Scratch: &sc.cyc, Cancel: ctx.Done(),
-			PackParallel: opts.PackParallel})
+		c, err := cycles.Synthesize(s, wl, T, cycles.Options{WarmupMargin: margin, Scratch: &sc.cyc, Cancel: ctx.Done()})
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +219,7 @@ func solveOnce(ctx context.Context, s *traffic.System, wl warehouse.Workload, T 
 	case SequentialFlows, ContractILP:
 		fopts := flow.Options{WarmupMargin: margin, ExactILP: opts.ExactILP, Simplex: opts.Simplex,
 			RootCuts: opts.RootCuts, MaxWork: opts.MaxWork,
-			MaxNodes: opts.MaxNodes, SearchParallel: opts.SearchParallel}
+			MaxNodes: opts.MaxNodes}
 		var set *flow.Set
 		var err error
 		if opts.Strategy == SequentialFlows {

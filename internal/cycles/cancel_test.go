@@ -47,3 +47,34 @@ func TestSynthesizeCanceled(t *testing.T) {
 		t.Fatalf("%v does not classify as lp.ErrCanceled", err)
 	}
 }
+
+// TestSynthesizeWarmScratch: a synthesis reusing a warm Scratch returns the
+// same Set — or the same error string, attempt log included — as one on a
+// fresh Scratch, across workloads that pack, overflow into many cycles, and
+// exhaust the residual capacities.
+func TestSynthesizeWarmScratch(t *testing.T) {
+	w, s := ringSystem(t)
+	sc := &Scratch{}
+	for _, tc := range []struct {
+		tag   string
+		units []int
+		T     int
+	}{
+		{"ring", []int{20, 12}, 600},
+		{"heavy", []int{120, 90}, 600},
+		{"tight", []int{40, 40}, 240},
+		{"zero", []int{0, 0}, 600},
+		{"exhausted", []int{300, 300}, 120},
+		{"ring-again", []int{20, 12}, 600},
+	} {
+		workload := wl(t, w, tc.units...)
+		want, werr := Synthesize(s, workload, tc.T, Options{})
+		got, gerr := Synthesize(s, workload, tc.T, Options{Scratch: sc})
+		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+			t.Fatalf("%s: warm err=%v, fresh err=%v", tc.tag, gerr, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: warm-scratch Set differs from a fresh synthesis", tc.tag)
+		}
+	}
+}

@@ -241,13 +241,12 @@ func synthesisILPOptions(ctx context.Context, goal *contracts.Contract, opts Opt
 		maxWork = contractWorkBudget(goal)
 	}
 	return lp.ILPOptions{
-		Engine:         engine,
-		MaxNodes:       maxNodes,
-		MaxWork:        maxWork,
-		Simplex:        opts.Simplex,
-		RootCuts:       opts.RootCuts,
-		Cancel:         cancelOf(ctx),
-		SearchParallel: opts.SearchParallel,
+		Engine:   engine,
+		MaxNodes: maxNodes,
+		MaxWork:  maxWork,
+		Simplex:  opts.Simplex,
+		RootCuts: opts.RootCuts,
+		Cancel:   cancelOf(ctx),
 	}
 }
 
@@ -438,10 +437,7 @@ type Options struct {
 	// (row-update units); 0 selects the footprint-scaled default
 	// (contractWorkBudget).
 	MaxWork int64
-	// SearchParallel distributes open branch-and-bound subtrees of each
-	// contract solve across up to this many workers
-	// (lp.ILPOptions.SearchParallel; 0 or 1 = sequential). Answers, budget
-	// verdicts, and error strings are bit-identical at every width.
+	// Deprecated: ignored. Branch and bound runs one sequential search.
 	SearchParallel int
 	// Deprecated: ignored. The LP layer has one simplex engine and no size
 	// crossover left to tune.

@@ -62,20 +62,6 @@ type ILPOptions struct {
 	// optimal value is unchanged; with alternate integer optima the search
 	// may surface a different one than the cut-free tree. See cuts.go.
 	RootCuts bool
-	// SearchParallel distributes open branch-and-bound subtrees across up
-	// to this many workers, one arena per worker (0 or 1 = sequential).
-	// The returned Solution, status, and budget verdict are bit-identical
-	// to the sequential search for every worker count: the search is
-	// decomposed at deterministic frontier fences into cold-rooted subtree
-	// tasks whose outcomes merge in work order, with speculative runs
-	// re-validated against the exact incumbent and budget state at commit
-	// time (see parallel.go). Effective extra workers are additionally
-	// clamped by a process-wide GOMAXPROCS-sized token pool, so nested
-	// parallelism (a solver pool of concurrent searches) cannot
-	// oversubscribe the machine — clamping never changes answers. The
-	// hybrid solve mode ignores the knob (its replay tree must be
-	// certified on one arena); its exact fallback honors it.
-	SearchParallel int
 }
 
 // arena is the engine surface branch-and-bound and the Model layer drive.
@@ -113,8 +99,7 @@ func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 	if opts.Engine == EngineFloat {
 		// Float relaxations on the revised partial-pricing engine;
 		// candidates are exactly verified.
-		spawn := func() arena[float64] { return newRevisedFloat(p) }
-		return bbSolveHooked(p, spawn(), floatArith{eps: defaultEps}, opts, bbHooks[float64]{spawn: spawn})
+		return bbSolveHooked(p, newRevisedFloat(p), floatArith{eps: defaultEps}, opts, bbHooks[float64]{})
 	}
 	if opts.RootCuts {
 		return solveILPRootCuts(p, opts)
@@ -131,19 +116,16 @@ func SolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 }
 
 func bbSolve[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
-	spawn := func() arena[T] { return newRevised[T, A](p, ar) }
-	return bbSolveHooked(p, spawn(), ar, opts, bbHooks[T]{spawn: spawn})
+	return bbSolveHooked(p, newRevised[T, A](p, ar), ar, opts, bbHooks[T]{})
 }
 
 // bbHooks customizes bbSolveHooked: an alternate root reset that keeps an
 // adopted warm basis and a per-node certificate (both for the hybrid search,
-// hybrid.go), and an arena factory enabling the parallel frontier executor
-// (parallel.go) to give each worker its own arena. The zero value is the
-// plain sequential search.
+// hybrid.go), and a memoized integer box (Model). The zero value is the
+// plain search.
 type bbHooks[T any] struct {
 	start   func(workBudget int64) // nil: tb.startSearch (cold root)
 	certify func() bool            // nil: no certification
-	spawn   func() arena[T]        // nil: parallel execution disabled
 	box     func() *boundDiff      // nil: integerBox(p) per solve
 }
 

@@ -132,11 +132,7 @@ func (mo *Model) ResolveWith(opts SolveOptions) (*Solution, error) {
 func (mo *Model) ResolveILP(opts ILPOptions) (*Solution, error) {
 	mo.checkStructure()
 	if opts.Engine == EngineFloat {
-		// The parallel executor's extra arenas are spawned fresh (the
-		// retained one cannot be shared across goroutines); cold subtree
-		// solves are arena-independent, so the answer is unchanged.
-		spawn := func() arena[float64] { return newRevisedFloat(mo.p) }
-		return bbSolveHooked(mo.p, mo.floatArena(), floatArith{eps: defaultEps}, opts, bbHooks[float64]{spawn: spawn, box: mo.cachedBox})
+		return bbSolveHooked(mo.p, mo.floatArena(), floatArith{eps: defaultEps}, opts, bbHooks[float64]{box: mo.cachedBox})
 	}
 	if opts.RootCuts {
 		// Root cuts append rows, which a retained arena cannot absorb;
@@ -149,16 +145,14 @@ func (mo *Model) ResolveILP(opts ILPOptions) (*Solution, error) {
 	if !mo.promoted {
 		var sol *Solution
 		var err error
-		spawn := func() arena[rat64] { return newRevised[rat64, rat64Arith](mo.p, rat64Arith{}) }
 		if promote(func() {
-			sol, err = bbSolveHooked(mo.p, mo.arena64(), rat64Arith{}, opts, bbHooks[rat64]{spawn: spawn, box: mo.cachedBox})
+			sol, err = bbSolveHooked(mo.p, mo.arena64(), rat64Arith{}, opts, bbHooks[rat64]{box: mo.cachedBox})
 		}) {
 			return sol, err
 		}
 		mo.dropRat64()
 	}
-	spawn := func() arena[*big.Rat] { return newRevised[*big.Rat, ratArith](mo.p, ratArith{}) }
-	return bbSolveHooked(mo.p, mo.arenaBig(), ratArith{}, opts, bbHooks[*big.Rat]{spawn: spawn, box: mo.cachedBox})
+	return bbSolveHooked(mo.p, mo.arenaBig(), ratArith{}, opts, bbHooks[*big.Rat]{box: mo.cachedBox})
 }
 
 // cachedBox returns the memoized integer box for the model's current

@@ -1058,14 +1058,13 @@ func denseLPWith[T any, A arith[T]](p *Problem, ar A, cancel <-chan struct{}) (*
 }
 
 // denseSolveILP is SolveILP over dense oracle arenas, for the exact and
-// float engines: the same bbSolveHooked search with a tableau spawn hook,
-// so SearchParallel, MaxNodes, MaxWork and Cancel behave as in production.
+// float engines: the same bbSolveHooked search over a tableau arena, so
+// MaxNodes, MaxWork and Cancel behave as in production.
 // opts.Simplex and opts.RootCuts are ignored.
 func denseSolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 	if opts.Engine == EngineFloat {
 		ar := floatArith{eps: defaultEps}
-		spawn := func() arena[float64] { return newTableau[float64, floatArith](p, ar) }
-		return bbSolveHooked(p, spawn(), ar, opts, bbHooks[float64]{spawn: spawn})
+		return bbSolveHooked(p, newTableau[float64, floatArith](p, ar), ar, opts, bbHooks[float64]{})
 	}
 	var sol *Solution
 	var err error
@@ -1076,8 +1075,7 @@ func denseSolveILP(p *Problem, opts ILPOptions) (*Solution, error) {
 }
 
 func denseILPWith[T any, A arith[T]](p *Problem, ar A, opts ILPOptions) (*Solution, error) {
-	spawn := func() arena[T] { return newTableau[T, A](p, ar) }
-	return bbSolveHooked(p, spawn(), ar, opts, bbHooks[T]{spawn: spawn})
+	return bbSolveHooked(p, newTableau[T, A](p, ar), ar, opts, bbHooks[T]{})
 }
 
 // oracleEngine names one exact engine under test — the dense oracle or the
@@ -1178,8 +1176,7 @@ func (dm *denseModel) ResolveILP(opts ILPOptions) (*Solution, error) {
 		}
 		var sol *Solution
 		var err error
-		spawn := func() arena[rat64] { return newTableau[rat64, rat64Arith](dm.p, rat64Arith{}) }
-		if promote(func() { sol, err = bbSolveHooked(dm.p, dm.t64, rat64Arith{}, opts, bbHooks[rat64]{spawn: spawn}) }) {
+		if promote(func() { sol, err = bbSolveHooked(dm.p, dm.t64, rat64Arith{}, opts, bbHooks[rat64]{}) }) {
 			return sol, err
 		}
 		dm.dropRat64()
@@ -1187,6 +1184,5 @@ func (dm *denseModel) ResolveILP(opts ILPOptions) (*Solution, error) {
 	if dm.tbig == nil {
 		dm.tbig = newTableau[*big.Rat, ratArith](dm.p, ratArith{})
 	}
-	spawn := func() arena[*big.Rat] { return newTableau[*big.Rat, ratArith](dm.p, ratArith{}) }
-	return bbSolveHooked(dm.p, dm.tbig, ratArith{}, opts, bbHooks[*big.Rat]{spawn: spawn})
+	return bbSolveHooked(dm.p, dm.tbig, ratArith{}, opts, bbHooks[*big.Rat]{})
 }

@@ -159,14 +159,6 @@ func degradeConfig(cfg wsp.Config, r int) (wsp.Config, []string) {
 		cfg.Strategy = wsp.RoutePacking
 		steps = append(steps, "route-packing")
 	}
-	if r >= 2 && cfg.SearchParallel > 1 {
-		// Shed within-instance workers BEFORE touching budgets: dropping to
-		// the sequential search returns the bit-identical answer (just
-		// slower for this one request), while a shrunken budget can change
-		// it — so parallelism is always the first sacrifice.
-		cfg.SearchParallel = 0
-		steps = append(steps, "search-shed")
-	}
 	if r >= 3 {
 		if cfg.WorkBudget == 0 || cfg.WorkBudget > shrinkWork {
 			cfg.WorkBudget = shrinkWork

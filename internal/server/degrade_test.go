@@ -1,46 +1,40 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/wsp"
 )
 
-// Within-instance parallelism is shed at rung 2 — before any budget is
-// touched at rung 3 — because dropping to the sequential search returns
-// the bit-identical answer while a shrunken budget can change it.
-func TestDegradeShedsSearchWorkersBeforeBudgets(t *testing.T) {
-	base := wsp.Config{Strategy: wsp.RoutePacking, SearchParallel: 4}
-
-	cfg, steps := degradeConfig(base, 1)
-	if cfg.SearchParallel != 4 || hasStep(steps, "search-shed") {
-		t.Errorf("rung 1 shed workers early: cfg=%+v steps=%v", cfg, steps)
-	}
-
-	cfg, steps = degradeConfig(base, 2)
-	if cfg.SearchParallel != 0 || !hasStep(steps, "search-shed") {
-		t.Errorf("rung 2 kept workers: cfg=%+v steps=%v", cfg, steps)
-	}
-	if cfg.WorkBudget != 0 || cfg.NodeBudget != 0 {
-		t.Errorf("rung 2 touched budgets before shedding finished: %+v", cfg)
-	}
-
-	cfg, steps = degradeConfig(base, 3)
-	if cfg.SearchParallel != 0 || !hasStep(steps, "search-shed") || !hasStep(steps, "budget-shrink") {
-		t.Errorf("rung 3: cfg=%+v steps=%v", cfg, steps)
-	}
-
-	// A sequential base config has nothing to shed — no misleading label.
-	if _, steps = degradeConfig(wsp.Config{Strategy: wsp.RoutePacking}, 3); hasStep(steps, "search-shed") {
-		t.Errorf("sequential config labeled search-shed: %v", steps)
-	}
-}
-
-func hasStep(steps []string, want string) bool {
-	for _, s := range steps {
-		if s == want {
-			return true
+// The ladder sheds in a fixed order: float arithmetic at rung 1, route
+// packing at rung 2, and only at rung 3 the budgets, because a shrunken
+// budget can change the answer where the earlier steps only change how it
+// is computed.
+func TestDegradeLadderOrder(t *testing.T) {
+	base := wsp.Config{Strategy: wsp.ContractILP, Exact: true, Simplex: wsp.SimplexHybrid, RootCuts: true}
+	for r, want := range [][]string{
+		nil,
+		{"float-arith"},
+		{"float-arith", "route-packing"},
+		{"float-arith", "route-packing", "budget-shrink"},
+	} {
+		cfg, steps := degradeConfig(base, r)
+		if !reflect.DeepEqual(steps, want) {
+			t.Errorf("rung %d: steps %v, want %v", r, steps, want)
+		}
+		if r < 3 && (cfg.WorkBudget != 0 || cfg.NodeBudget != 0 || cfg.MaxAttempts != 0) {
+			t.Errorf("rung %d touched budgets: %+v", r, cfg)
 		}
 	}
-	return false
+	cfg, _ := degradeConfig(base, 3)
+	if cfg.Exact || cfg.Simplex != wsp.SimplexAuto || cfg.RootCuts || cfg.Strategy != wsp.RoutePacking ||
+		cfg.WorkBudget != shrinkWork || cfg.NodeBudget != shrinkNodes || cfg.MaxAttempts != 1 {
+		t.Errorf("rung 3 config: %+v", cfg)
+	}
+
+	// A config already at a rung's cheap setting gets no misleading label.
+	if _, steps := degradeConfig(wsp.Config{Strategy: wsp.RoutePacking}, 2); len(steps) != 0 {
+		t.Errorf("route-packing float config labeled %v at rung 2", steps)
+	}
 }

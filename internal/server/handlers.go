@@ -673,11 +673,65 @@ func sweepCellResult(c wsp.SweepCell) SweepCellResult {
 	return cell
 }
 
+// ndjsonStream is the response side of the streaming endpoints (/v1/sweep
+// with stream, /v1/lifelong): NDJSON lines, each flushed as soon as it is
+// written, behind a 200 status line that the first line commits. Until
+// then a failure still gets the normal error envelope with its taxonomy
+// status; afterwards it can only travel in-band as an "error" line, whose
+// code carries the same taxonomy, and the outcome counters are bumped
+// through countStatus either way.
+type ndjsonStream struct {
+	s         *Server
+	w         http.ResponseWriter
+	enc       *json.Encoder
+	flusher   http.Flusher
+	committed bool
+}
+
+func (s *Server) ndjson(w http.ResponseWriter) *ndjsonStream {
+	flusher, _ := w.(http.Flusher)
+	return &ndjsonStream{s: s, w: w, enc: json.NewEncoder(w), flusher: flusher}
+}
+
+// send writes and flushes one line, committing the 200 status line first.
+func (st *ndjsonStream) send(line any) {
+	if !st.committed {
+		st.w.Header().Set("Content-Type", "application/x-ndjson")
+		st.w.WriteHeader(http.StatusOK)
+		st.committed = true
+	}
+	st.enc.Encode(line)
+	if st.flusher != nil {
+		st.flusher.Flush()
+	}
+}
+
+// fail ends the stream with err: the error envelope while nothing is
+// committed, otherwise the in-band line errLine builds from the taxonomy
+// code and the error text.
+func (st *ndjsonStream) fail(err error, errLine func(code, msg string) any) {
+	status, code := errStatus(err)
+	if !st.committed {
+		st.s.writeError(st.w, status, code, err.Error(), 0)
+		return
+	}
+	st.s.countStatus(status)
+	st.send(errLine(code, err.Error()))
+}
+
+// done ends a successful stream with its terminal line, counting the
+// request as completed (and degraded when the ladder applied steps).
+func (st *ndjsonStream) done(line any, degraded bool) {
+	st.s.met.completed.Add(1)
+	if degraded {
+		st.s.met.degraded.Add(1)
+	}
+	st.send(line)
+}
+
 // streamSweep is handleSweep's NDJSON tail: one "cell" line per completed
-// topology (flushed immediately), then a terminal "summary" line — the
-// same discipline as /v1/lifelong. Failures before the first cell use the
-// normal error envelope; once the 200 is committed, errors travel in-band
-// as an "error" line and the outcome counters are bumped via countStatus.
+// topology, then a terminal "summary" line, through the same ndjsonStream
+// as /v1/lifelong.
 func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context.Context, cfg wsp.Config, spec wsp.SweepSpec, steps []string) {
 	// The per-cell fault hook aborts through a cause-carrying cancel so the
 	// walk's next topology fails with the hook's error attached (the cancel
@@ -686,9 +740,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context
 	defer abort(nil)
 
 	cid := clientID(r)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := false
+	st := s.ndjson(w)
 	cellsOut := 0
 	observe := func(c wsp.SweepCell) {
 		// Per-cell fault hook (Info.Horizon carries the cell index): the
@@ -699,15 +751,7 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context
 				return
 			}
 		}
-		if !streamed {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			streamed = true
-		}
-		enc.Encode(SweepCellLine{Type: "cell", SweepCellResult: sweepCellResult(c)})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		st.send(SweepCellLine{Type: "cell", SweepCellResult: sweepCellResult(c)})
 		cellsOut++
 	}
 
@@ -734,38 +778,19 @@ func (s *Server) streamSweep(w http.ResponseWriter, r *http.Request, ctx context
 		return err
 	}()
 	if err != nil {
-		status, code := errStatus(err)
-		if !streamed {
-			s.writeError(w, status, code, err.Error(), 0)
-			return
-		}
-		s.countStatus(status)
-		enc.Encode(SweepErrorLine{Type: "error", Code: code, Error: err.Error(), Cells: cellsOut})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		st.fail(err, func(code, msg string) any {
+			return SweepErrorLine{Type: "error", Code: code, Error: msg, Cells: cellsOut}
+		})
 		return
 	}
-	s.met.completed.Add(1)
-	if len(steps) > 0 {
-		s.met.degraded.Add(1)
-	}
-	line := SweepSummaryLine{
+	st.done(SweepSummaryLine{
 		Type:         "summary",
 		OK:           true,
 		Degraded:     len(steps) > 0,
 		DegradeSteps: steps,
 		Cells:        cellsOut,
 		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if !streamed {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	enc.Encode(line)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	}, len(steps) > 0)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

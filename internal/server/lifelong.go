@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -16,9 +15,8 @@ import (
 // terminal "report" line on success, or an in-band "error" line when the
 // run fails after streaming began. Failures before the first epoch use the
 // normal error envelope with the taxonomy status (499/504/422/...); once a
-// 200 status line is committed, errors can only travel in-band — the code
-// field carries the same taxonomy either way, and the outcome counters are
-// bumped identically via countStatus.
+// 200 status line is committed, errors can only travel in-band (see
+// ndjsonStream, shared with the streaming /v1/sweep).
 //
 // The endpoint is admission-controlled and charged like /v1/sweep: one
 // solve cost per batch, since each batch release forces at least a
@@ -211,9 +209,7 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cid := clientID(r)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	streamed := false
+	st := s.ndjson(w)
 	obs := wsp.LifelongObserverFuncs{
 		Epoch: func(er wsp.EpochReport) {
 			// Per-epoch fault hook (Info.Horizon carries the epoch index):
@@ -225,12 +221,7 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			if !streamed {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				streamed = true
-			}
-			enc.Encode(LifelongEpochLine{
+			st.send(LifelongEpochLine{
 				Type:        "epoch",
 				Epoch:       er.Epoch,
 				Start:       er.Start,
@@ -243,9 +234,6 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 				Outstanding: er.Outstanding,
 				Throughput:  er.Throughput,
 			})
-			if flusher != nil {
-				flusher.Flush()
-			}
 		},
 	}
 
@@ -267,32 +255,21 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 		return err
 	}()
 	if err != nil {
-		status, code := errStatus(err)
-		if code == "budget-exhausted" {
+		if _, code := errStatus(err); code == "budget-exhausted" {
 			// A load signal like everywhere else — but no degraded retry
 			// here: epochs already streamed cannot be replayed by a
 			// restarted cheaper run.
 			s.met.budgetExhausted.Add(1)
 			s.deg.observeExhausted()
 		}
-		if !streamed {
-			s.writeError(w, status, code, err.Error(), 0)
-			return
-		}
-		s.countStatus(status)
-		epochs := 0
-		if rep != nil {
-			epochs = rep.Epochs
-		}
-		enc.Encode(LifelongErrorLine{Type: "error", Code: code, Error: err.Error(), Epochs: epochs})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		st.fail(err, func(code, msg string) any {
+			epochs := 0
+			if rep != nil {
+				epochs = rep.Epochs
+			}
+			return LifelongErrorLine{Type: "error", Code: code, Error: msg, Epochs: epochs}
+		})
 		return
-	}
-	s.met.completed.Add(1)
-	if len(steps) > 0 {
-		s.met.degraded.Add(1)
 	}
 	line := LifelongReportLine{
 		Type:         "report",
@@ -308,12 +285,5 @@ func (s *Server) handleLifelong(w http.ResponseWriter, r *http.Request) {
 	for _, b := range rep.Batches {
 		line.Batches = append(line.Batches, LifelongBatchResult{Release: b.Release, Units: b.Units, Completed: b.Completed})
 	}
-	if !streamed {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.WriteHeader(http.StatusOK)
-	}
-	enc.Encode(line)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	st.done(line, len(steps) > 0)
 }

@@ -127,14 +127,8 @@ type Config struct {
 	// Parallel is the SolveBatch / Sweep worker-pool width
 	// (0 = GOMAXPROCS).
 	Parallel int
-	// SearchParallel is the WITHIN-instance parallelism width: open
-	// branch-and-bound subtrees of each contract solve and route-packing
-	// candidate probes of each synthesis are distributed across up to this
-	// many workers (0 or 1 = sequential). Results are bit-identical to the
-	// sequential engines at every width, and a process-wide token pool
-	// clamps the extra workers, so combining this with Parallel (many
-	// concurrent solves, each parallel inside) never oversubscribes the
-	// machine — it only changes how fast the same answer arrives.
+	// Deprecated: ignored. Every solve runs one sequential search; use
+	// Parallel to solve many instances at once.
 	SearchParallel int
 }
 
@@ -150,8 +144,6 @@ func (c Config) coreOptions() core.Options {
 		MaxAttempts:     c.MaxAttempts,
 		MaxWork:         c.WorkBudget,
 		MaxNodes:        c.NodeBudget,
-		SearchParallel:  c.SearchParallel,
-		PackParallel:    c.SearchParallel,
 	}
 }
 
@@ -199,13 +191,6 @@ func WithWorkBudget(units int64) Option { return func(c *Config) { c.WorkBudget 
 // WithNodeBudget bounds the contract path's per-attempt branch-and-bound
 // tree.
 func WithNodeBudget(nodes int) Option { return func(c *Config) { c.NodeBudget = nodes } }
-
-// WithSearchParallel sets the within-instance parallelism width: subtree-
-// parallel branch and bound plus parallel route packing, bit-identical to
-// the sequential engines at every width (0 or 1 = sequential).
-func WithSearchParallel(workers int) Option {
-	return func(c *Config) { c.SearchParallel = workers }
-}
 
 // WithParallel sets the worker-pool width used by SolveBatch and Sweep
 // (0 selects GOMAXPROCS). Results are bit-identical for every width.
