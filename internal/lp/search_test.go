@@ -6,7 +6,9 @@ package lp
 // arena that runs it, so the dense oracle and the revised engine must stay
 // bit-identical however finely the fence cuts the tree, budgets included;
 // and moving the fence changes work accounting but never an unbudgeted
-// verdict or optimum.
+// verdict or optimum. The tests keep the TestParallelSearch names from when
+// the fenced tasks ran on parallel workers: the tasks are the same, they now
+// run in order.
 
 import (
 	"fmt"
@@ -61,36 +63,110 @@ func sameOutcome(t *testing.T, tag string, want, got *Solution, werr, gerr error
 	}
 }
 
-type fenceCase struct {
-	tag      string
-	p        *Problem
-	maxNodes int
-	maxWork  int64
+// sameVerdict requires the same error text, status and objective: what an
+// unbudgeted search must keep when only the fence moves.
+func sameVerdict(t *testing.T, tag string, want, got *Solution, werr, gerr error) {
+	t.Helper()
+	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+		t.Fatalf("%s: low-fence err=%v, production err=%v", tag, gerr, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if want.Status != got.Status || (want.Objective == nil) != (got.Objective == nil) ||
+		(want.Objective != nil && want.Objective.Cmp(got.Objective) != 0) {
+		t.Fatalf("%s: low fence %v obj=%v, production fence %v obj=%v",
+			tag, got.Status, got.Objective, want.Status, want.Objective)
+	}
 }
 
-// fenceCorpus is the search-test corpus: random mixed-shape ILPs (every
-// fourth a pure feasibility problem, which stops at the first integral
-// solution) and the exponential parity tree, each with a node and a work
-// budget small enough to bind.
-func fenceCorpus(t *testing.T) []fenceCase {
-	var cs []fenceCase
+// acrossFences solves p with every engine at the production fence and at
+// the lowered one and requires the same verdict, handing each low-fence
+// answer to check (nil to skip). The fence must be lowered on entry.
+func acrossFences(t *testing.T, tag string, p *Problem, prodFence int, check func(string, *Solution)) {
+	t.Helper()
+	low := bbFrontierNodes
+	for _, cfg := range searchConfigs() {
+		bbFrontierNodes = prodFence
+		want, werr := cfg.solve(p, cfg.opts)
+		bbFrontierNodes = low
+		got, gerr := cfg.solve(p, cfg.opts)
+		sameVerdict(t, tag+" "+cfg.tag, want, got, werr, gerr)
+		if gerr == nil && check != nil {
+			check(tag+" "+cfg.tag, got)
+		}
+	}
+}
+
+// The fence fuzz: random mixed-shape ILPs (every fourth a pure feasibility
+// problem) under a fence of 3 nodes. Revised and dense-oracle searches walk
+// the same task sequence pivot for pivot, so even budget verdicts — which
+// depend on exact node and work totals — agree bit for bit; unbudgeted,
+// the fence only splits the tree, so every engine keeps the production
+// fence's status and objective.
+func TestParallelSearchParityFuzz(t *testing.T) {
+	prodFence := bbFrontierNodes
+	lowFence(t, 3)
 	for seed := 0; seed < parityRounds(t, 40); seed++ {
 		rng := rand.New(rand.NewSource(int64(9100 + seed)))
 		p := randomBoundedProblem(rng, true)
 		if seed%4 == 3 {
 			p.Objective = nil
 		}
-		cs = append(cs, fenceCase{fmt.Sprintf("seed=%d", seed), p, 5 + rng.Intn(60), int64(200 + rng.Intn(4000))})
+		maxNodes, maxWork := 5+rng.Intn(60), int64(200+rng.Intn(4000))
+		tag := fmt.Sprintf("seed=%d", seed)
+		for _, b := range []struct {
+			tag      string
+			maxNodes int
+			maxWork  int64
+		}{{"none", 0, 0}, {"nodes", maxNodes, 0}, {"work", 0, maxWork}, {"both", maxNodes, maxWork}} {
+			opts := ILPOptions{Engine: EngineExact, MaxNodes: b.maxNodes, MaxWork: b.maxWork}
+			want, werr := denseSolveILP(p, opts)
+			got, gerr := SolveILP(p, opts)
+			sameOutcome(t, tag+" dense/revised budget="+b.tag, want, got, werr, gerr)
+		}
+		acrossFences(t, tag, p, prodFence, nil)
 	}
-	return append(cs, fenceCase{"parity13", parityILP(13), 500, 20000})
 }
 
-func TestSearchFence(t *testing.T) {
+// Pure feasibility problems stop at the first integral solution the task
+// order reaches. Under a fence of 2 nodes the revised engine must return
+// exactly the dense oracle's first win, and every engine must return a
+// solution that satisfies the problem whenever the production fence finds
+// one.
+func TestParallelSearchFeasibilityFirstWin(t *testing.T) {
+	prodFence := bbFrontierNodes
+	lowFence(t, 2)
+	for seed := 0; seed < parityRounds(t, 30); seed++ {
+		rng := rand.New(rand.NewSource(int64(5200 + seed)))
+		p := randomBoundedProblem(rng, true)
+		p.Objective = nil
+		tag := fmt.Sprintf("seed=%d", seed)
+		opts := ILPOptions{Engine: EngineExact}
+		want, werr := denseSolveILP(p, opts)
+		got, gerr := SolveILP(p, opts)
+		sameOutcome(t, tag+" dense/revised", want, got, werr, gerr)
+		acrossFences(t, tag, p, prodFence, func(tag string, sol *Solution) {
+			if sol.Status != StatusOptimal {
+				return
+			}
+			if err := p.Check(sol.Values); err != nil {
+				t.Fatalf("%s: first win does not satisfy the problem: %v", tag, err)
+			}
+		})
+	}
+}
+
+// Budget verdicts on the exponential parity tree. Refuting parityILP(13)
+// takes more than 500 nodes and more than 20,000 work units, so at either
+// fence a budgeted search must stop undecided and only the unbudgeted one
+// may prove infeasibility; every fenced task restarts cold and is charged
+// for it, so the finer fence must cost more work for the same verdicts;
+// and under the finer fence the revised engine must reach the dense
+// oracle's limit point exactly, mixed node and work budgets included.
+func TestParallelSearchBudgetParity(t *testing.T) {
 	prodFence := bbFrontierNodes
 	lowFence(t, 3)
-	// Known verdicts: refuting parity13 takes more than 500 nodes and more
-	// than 20,000 work units, so at either fence a budgeted search must
-	// stop undecided and only the unbudgeted one may prove infeasibility.
 	var work [2]int64
 	for i, fence := range []int{3, prodFence} {
 		bbFrontierNodes = fence
@@ -111,45 +187,23 @@ func TestSearchFence(t *testing.T) {
 		}
 		work[i] = WorkMeter() - w0
 	}
-	// Every fenced task restarts cold, and cold restarts are charged: the
-	// finer fence must cost more work for the same verdicts.
 	if work[0] <= work[1] {
 		t.Fatalf("parity13 work at fence 3 = %d, not above %d at the production fence", work[0], work[1])
 	}
 	bbFrontierNodes = 3
-	for _, fc := range fenceCorpus(t) {
-		// Under the lowered fence the dense oracle and the revised engine
-		// walk the same task sequence pivot for pivot, so even budget
-		// verdicts — which depend on exact node and work totals — agree.
-		for _, b := range []struct {
-			tag      string
-			maxNodes int
-			maxWork  int64
-		}{{"none", 0, 0}, {"nodes", fc.maxNodes, 0}, {"work", 0, fc.maxWork}, {"both", fc.maxNodes, fc.maxWork}} {
-			opts := ILPOptions{Engine: EngineExact, MaxNodes: b.maxNodes, MaxWork: b.maxWork}
-			want, werr := denseSolveILP(fc.p, opts)
-			got, gerr := SolveILP(fc.p, opts)
-			sameOutcome(t, fc.tag+" dense/revised budget="+b.tag, want, got, werr, gerr)
-		}
-		// Unbudgeted, the fence only splits the tree: every engine reaches
-		// the production fence's status and objective.
-		for _, cfg := range searchConfigs() {
-			bbFrontierNodes = prodFence
-			want, werr := cfg.solve(fc.p, cfg.opts)
-			bbFrontierNodes = 3
-			got, gerr := cfg.solve(fc.p, cfg.opts)
-			tag := fc.tag + " " + cfg.tag
-			if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-				t.Fatalf("%s: low-fence err=%v, production err=%v", tag, gerr, werr)
-			}
-			if werr != nil {
-				continue
-			}
-			if want.Status != got.Status || (want.Objective == nil) != (got.Objective == nil) ||
-				(want.Objective != nil && want.Objective.Cmp(got.Objective) != 0) {
-				t.Fatalf("%s: low fence %v obj=%v, production fence %v obj=%v",
-					tag, got.Status, got.Objective, want.Status, want.Objective)
-			}
-		}
+	p := parityILP(13)
+	for _, b := range []struct {
+		tag  string
+		opts ILPOptions
+	}{
+		{"none", ILPOptions{Engine: EngineExact}},
+		{"nodes", ILPOptions{Engine: EngineExact, MaxNodes: 500}},
+		{"work", ILPOptions{Engine: EngineExact, MaxWork: 20000}},
+		{"both", ILPOptions{Engine: EngineExact, MaxNodes: 300, MaxWork: 15000}},
+	} {
+		want, werr := denseSolveILP(p, b.opts)
+		got, gerr := SolveILP(p, b.opts)
+		sameOutcome(t, "parity13 dense/revised budget="+b.tag, want, got, werr, gerr)
 	}
+	acrossFences(t, "parity13", p, prodFence, nil)
 }
