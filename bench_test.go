@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"runtime"
 	"testing"
 
 	"repro/internal/agentplan"
@@ -682,10 +683,13 @@ func reportAgentSteps(b *testing.B, agents int) {
 
 // BenchmarkRealization isolates Algorithm 1: agentplan.Realize alone on the
 // largest Table I instance (Fulfillment2, 1440 units, T = 3600), its cycle
-// set synthesized beforehand.
+// set synthesized beforehand. Besides time per agent-step it reports heap
+// bytes per agent-step, whose floor is the plan's 8-byte packed state.
 func BenchmarkRealization(b *testing.B) {
 	cs, wl := realizationFixture(b)
 	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := agentplan.Realize(cs, wl, horizonT); err != nil {
@@ -693,7 +697,10 @@ func BenchmarkRealization(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	reportAgentSteps(b, cs.NumAgents())
+	steps := float64(cs.NumAgents() * horizonT)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(steps*float64(b.N)), "bytes/agent-step")
 }
 
 // BenchmarkValidate isolates validation: sim.Run, the single sweep that

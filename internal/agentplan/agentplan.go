@@ -192,13 +192,14 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 		}
 	}
 
-	// One allocation per agent row. A single [agents·T] backing array
-	// allocates less, but measured slower to realize and validate, with a
-	// higher resident set, on the Table I mix (DESIGN.md).
-	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, len(agents))}
+	// The plan is timestep-major with 8-byte states, in blocks of whole
+	// timesteps of about 64 KB: each step below writes one contiguous row,
+	// and allocation grows with the number of blocks, not with the team
+	// (DESIGN.md).
+	plan := warehouse.NewPlan(len(agents), T)
+	row := plan.Row(0)
 	for i := range agents {
-		plan.States[i] = make([]warehouse.AgentState, T)
-		plan.States[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
+		row.Set(i, warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct})
 	}
 
 	stats := Stats{
@@ -229,6 +230,7 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 	for t := 0; t+1 < T; t++ {
 		periodStart := (t / tc) * tc
 		stamp := int32(t) + 1
+		next := plan.Row(t + 1)
 
 		// Entry occupancy at time t, and the pick/drop decisions made from
 		// the time-t positions.
@@ -319,7 +321,7 @@ func Realize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Sta
 					stats.Moves++
 				}
 				ahead = cell
-				plan.States[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
+				next.Set(int(ai), warehouse.AgentState{Vertex: a.vertex, Carried: a.carried})
 			}
 		}
 		if stats.ServicedAt < 0 && short == 0 {

@@ -60,11 +60,11 @@ func requireParity(t *testing.T, c parityCase, T int) {
 		t.Fatalf("%s T=%d: plan %dx%d, oracle %dx%d", c.name, T,
 			got.NumAgents(), got.Horizon(), want.NumAgents(), want.Horizon())
 	}
-	for i := range want.States {
-		for tt := range want.States[i] {
-			if got.States[i][tt] != want.States[i][tt] {
-				t.Fatalf("%s T=%d: agent %d at t=%d is %+v, oracle %+v", c.name, T, i, tt,
-					got.States[i][tt], want.States[i][tt])
+	for tt := 0; tt < want.Horizon(); tt++ {
+		g, o := got.Row(tt), want.Row(tt)
+		for i := range o {
+			if g.At(i) != o.At(i) {
+				t.Fatalf("%s T=%d: agent %d at t=%d is %+v, oracle %+v", c.name, T, i, tt, g.At(i), o.At(i))
 			}
 		}
 	}

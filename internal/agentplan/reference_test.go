@@ -24,7 +24,7 @@ type refAgent struct {
 // the exit backward over the time-t occupancy, looks the next cell up with
 // NextCellAt, scans every leg of the agent's cycle for pickups, stores each
 // agent's row in its own allocation, and rescans the workload for
-// ServicedAt. Realize must match it bit for bit on Plan.States and Stats.
+// ServicedAt. Realize must match it bit for bit on every plan state and on Stats.
 func referenceRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.Plan, Stats, error) {
 	s := cs.S
 	w := s.W
@@ -88,10 +88,12 @@ func referenceRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.
 		}
 	}
 
-	plan := &warehouse.Plan{States: make([][]warehouse.AgentState, len(agents))}
+	// The oracle keeps per-agent rows and converts them at the end, so it
+	// shares no write path with Realize.
+	rows := make([][]warehouse.AgentState, len(agents))
 	for i := range agents {
-		plan.States[i] = make([]warehouse.AgentState, T)
-		plan.States[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
+		rows[i] = make([]warehouse.AgentState, T)
+		rows[i][0] = warehouse.AgentState{Vertex: agents[i].vertex, Carried: warehouse.NoProduct}
 	}
 
 	stats := Stats{
@@ -215,11 +217,15 @@ func referenceRealize(cs *cycles.Set, wl warehouse.Workload, T int) (*warehouse.
 		}
 
 		for ai, a := range agents {
-			plan.States[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
+			rows[ai][t+1] = warehouse.AgentState{Vertex: a.vertex, Carried: a.carried}
 		}
 		if stats.ServicedAt < 0 && serviced() {
 			stats.ServicedAt = t + 1
 		}
+	}
+	plan, err := warehouse.PlanFromRows(rows)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	return plan, stats, nil
 }

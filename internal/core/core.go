@@ -176,16 +176,23 @@ func SolveScratch(ctx context.Context, s *traffic.System, wl warehouse.Workload,
 			return nil, lp.WrapCancelCause(ctx, err)
 		}
 		lastErr = err
-		// Double the margin (starting from the automatic default).
-		if margin == 0 {
-			margin = defaultMargin(s, T)
-		}
-		margin *= 2
-		if qc := T / s.CycleTime(); margin > qc-1 {
-			margin = qc - 1
-		}
+		margin = nextMargin(s, T, margin)
 	}
 	return nil, fmt.Errorf("core: %d attempts failed, last error: %w", maxAttempts, lastErr)
+}
+
+// nextMargin returns the warm-up margin of the attempt that follows one at
+// margin (0 = automatic): double it, starting from the automatic default,
+// and cap it at qc-1, which leaves one effective period.
+func nextMargin(s *traffic.System, T, margin int) int {
+	if margin == 0 {
+		margin = defaultMargin(s, T)
+	}
+	margin *= 2
+	if qc := T / s.CycleTime(); margin > qc-1 {
+		margin = qc - 1
+	}
+	return margin
 }
 
 func defaultMargin(s *traffic.System, T int) int {

@@ -66,19 +66,23 @@ func ExecuteMCP(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workl
 	}
 
 	// Compress each agent's plan into its sequence of distinct cells, with
-	// the product transitions attached to the step at which they occur.
+	// the product transitions attached to the step at which they occur. The
+	// plan is stored timestep-major, so it is read a row per timestep.
 	type step struct {
 		v       grid.VertexID
 		carried warehouse.ProductID
 		deliver warehouse.ProductID // product delivered on arrival, or NoProduct
 	}
 	seqs := make([][]step, c)
-	for i := 0; i < c; i++ {
-		st := plan.States[i][0]
+	prevRow := plan.Row(0)
+	for i := range seqs {
+		st := prevRow.At(i)
 		seqs[i] = []step{{v: st.Vertex, carried: st.Carried, deliver: warehouse.NoProduct}}
-		for t := 1; t < T; t++ {
-			cur := plan.States[i][t]
-			prev := plan.States[i][t-1]
+	}
+	for t := 1; t < T; t++ {
+		row := plan.Row(t)
+		for i := range seqs {
+			cur, prev := row.At(i), prevRow.At(i)
 			deliver := warehouse.NoProduct
 			if prev.Carried != warehouse.NoProduct && cur.Carried == warehouse.NoProduct && w.IsStation(prev.Vertex) {
 				deliver = prev.Carried
@@ -91,6 +95,7 @@ func ExecuteMCP(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workl
 				seqs[i] = append(seqs[i], step{v: cur.Vertex, carried: cur.Carried, deliver: deliver})
 			}
 		}
+		prevRow = row
 	}
 
 	// Dense occupancy: occ[v] holds agent index + 1, 0 means free. The

@@ -167,23 +167,28 @@ func corrupt(w *warehouse.Warehouse, plan *warehouse.Plan, ops []byte) {
 	for ; len(ops) >= 5; ops = ops[5:] {
 		kind, i, arg := int(ops[0])%numCorruptions, int(ops[1])%c, int(ops[4])
 		t := (int(ops[2]) | int(ops[3])<<8) % (T - 1)
-		row, j := plan.States[i], arg%c
+		j := arg % c
+		// Agent i's states at t and t+1 are cur and next, agent j's other
+		// and otherNext. They are edited as values and written back, j's
+		// first, so that with i == j agent i's edits win.
+		row, nextRow := plan.Row(t), plan.Row(t+1)
+		cur, next := row.At(i), nextRow.At(i)
+		other, otherNext := row.At(j), nextRow.At(j)
 		switch kind {
 		case corruptTeleport:
-			row[t].Vertex = grid.VertexID(arg%(nv+4) - 2)
+			cur.Vertex = grid.VertexID(arg%(nv+4) - 2)
 		case corruptCollision:
-			row[t].Vertex = plan.States[j][t].Vertex
+			cur.Vertex = other.Vertex
 		case corruptSwap:
-			vi, vj := row[t].Vertex, plan.States[j][t].Vertex
-			row[t+1].Vertex, plan.States[j][t+1].Vertex = vj, vi
+			next.Vertex, otherNext.Vertex = other.Vertex, cur.Vertex
 		case corruptPick:
-			row[t].Carried = warehouse.NoProduct
-			row[t+1].Carried = warehouse.ProductID(arg % np)
+			cur.Carried = warehouse.NoProduct
+			next.Carried = warehouse.ProductID(arg % np)
 		case corruptDrop:
-			row[t].Carried = warehouse.ProductID(arg % np)
-			row[t+1].Carried = warehouse.NoProduct
+			cur.Carried = warehouse.ProductID(arg % np)
+			next.Carried = warehouse.NoProduct
 		case corruptMutate:
-			row[t].Carried = warehouse.ProductID(arg%(np+1) - 1)
+			cur.Carried = warehouse.ProductID(arg%(np+1) - 1)
 		case corruptOverdraw:
 			// An extra pickup of a stocked product at a shelf.
 			if len(w.ShelfAccess) == 0 {
@@ -191,10 +196,14 @@ func corrupt(w *warehouse.Warehouse, plan *warehouse.Plan, ops []byte) {
 			}
 			v := w.ShelfAccess[arg%len(w.ShelfAccess)]
 			if ks := w.ProductsAt(v); len(ks) > 0 {
-				row[t] = warehouse.AgentState{Vertex: v, Carried: warehouse.NoProduct}
-				row[t+1].Carried = ks[arg%len(ks)]
+				cur = warehouse.AgentState{Vertex: v, Carried: warehouse.NoProduct}
+				next.Carried = ks[arg%len(ks)]
 			}
 		}
+		row.Set(j, other)
+		nextRow.Set(j, otherNext)
+		row.Set(i, cur)
+		nextRow.Set(i, next)
 	}
 }
 
@@ -231,9 +240,9 @@ func FuzzRunParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, base, stockCap uint8, ops []byte) {
 		b := bases[int(base)%len(bases)]
 		w := b.stockCaps[int(stockCap)%len(b.stockCaps)]
-		plan := &warehouse.Plan{States: make([][]warehouse.AgentState, b.plan.NumAgents())}
-		for i, row := range b.plan.States {
-			plan.States[i] = append([]warehouse.AgentState(nil), row...)
+		plan := warehouse.NewPlan(b.plan.NumAgents(), b.plan.Horizon())
+		for t := 0; t < plan.Horizon(); t++ {
+			copy(plan.Row(t), b.plan.Row(t))
 		}
 		corrupt(w, plan, ops)
 		requireRunParity(t, "fuzz", w, plan, b.wl)

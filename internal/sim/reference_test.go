@@ -17,13 +17,6 @@ func referenceValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehous
 	var out []warehouse.PlanViolation
 	T := p.Horizon()
 	c := p.NumAgents()
-	for i := 0; i < c; i++ {
-		if len(p.States[i]) != T {
-			out = append(out, warehouse.PlanViolation{Agent: i, OtherIdx: -1, Condition: 1,
-				Detail: fmt.Sprintf("agent has %d states, want %d", len(p.States[i]), T)})
-			return out
-		}
-	}
 	type pick struct {
 		v grid.VertexID
 		k warehouse.ProductID
@@ -35,7 +28,7 @@ func referenceValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehous
 	for t := 0; t < T; t++ {
 		stamp := int32(t) + 1
 		for i := 0; i < c; i++ {
-			v := p.States[i][t].Vertex
+			v := p.At(i, t).Vertex
 			if v < 0 || int(v) >= nv {
 				out = append(out, warehouse.PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
 					Detail: fmt.Sprintf("vertex %d out of range", v)})
@@ -52,13 +45,13 @@ func referenceValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehous
 			break
 		}
 		for i := 0; i < c; i++ {
-			cur, next := p.States[i][t], p.States[i][t+1]
+			cur, next := p.At(i, t), p.At(i, t+1)
 			if cur.Vertex != next.Vertex && !w.Graph.Adjacent(cur.Vertex, next.Vertex) {
 				out = append(out, warehouse.PlanViolation{Timestep: t, Agent: i, OtherIdx: -1, Condition: 1,
 					Detail: fmt.Sprintf("teleport %d -> %d", cur.Vertex, next.Vertex)})
 			}
 			if next.Vertex >= 0 && int(next.Vertex) < nv && occStamp[next.Vertex] == stamp {
-				if j := int(occAgent[next.Vertex]); j != i && p.States[j][t+1].Vertex == cur.Vertex {
+				if j := int(occAgent[next.Vertex]); j != i && p.At(j, t+1).Vertex == cur.Vertex {
 					if i < j {
 						out = append(out, warehouse.PlanViolation{Timestep: t, Agent: i, OtherIdx: j, Condition: 2,
 							Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, cur.Vertex, next.Vertex)})
@@ -107,8 +100,8 @@ func referenceValidatePlan(w *warehouse.Warehouse, p *warehouse.Plan) []warehous
 // referenceRun is the two-pass Run the fused sweep replaced: validation,
 // then a second walk over the plan for the tallies, rescanning the
 // workload for ServicedAt after every step. It is defined only on plans
-// with equal-length rows and carried products in ρ; outside that domain it
-// panics, which is what the sweep fixed.
+// with carried products in ρ; outside that domain it panics, which is what
+// the sweep fixed.
 func referenceRun(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) Result {
 	res := Result{
 		Delivered:  make([]int, w.NumProducts),
@@ -130,7 +123,7 @@ func referenceRun(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Wor
 	}
 	for t := 0; t+1 < T; t++ {
 		for i := 0; i < c; i++ {
-			cur, next := plan.States[i][t], plan.States[i][t+1]
+			cur, next := plan.At(i, t), plan.At(i, t+1)
 			if cur.Vertex == next.Vertex {
 				res.Waits++
 			} else {

@@ -28,8 +28,7 @@ type Result struct {
 }
 
 // Run replays plan against the warehouse and workload: one sweep over the
-// plan validates it and collects the statistics. A plan whose agents have
-// different horizons comes back with its violation and zero tallies.
+// plan validates it and collects the statistics.
 func Run(w *warehouse.Warehouse, plan *warehouse.Plan, wl warehouse.Workload) Result {
 	var tally warehouse.Tally
 	violations := warehouse.Sweep(w, plan, wl, &tally)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/agentplan"
@@ -124,24 +125,25 @@ func TestWindowGrowsOnDemand(t *testing.T) {
 }
 
 // TestRunRaggedPlan: a plan whose agent 1 has fewer states than agent 0
-// used to panic in the tally loop after validation had already reported
-// it. Run must return the row-length violation and zero tallies.
+// used to panic in Run's tally loop after validation had already reported
+// it. A plan is now built whole, so a ragged one never reaches Run:
+// PlanFromRows refuses the rows with the violation Run used to report.
 func TestRunRaggedPlan(t *testing.T) {
 	w, _ := testmaps.MustRing()
 	v := w.Stations[0]
-	plan := &warehouse.Plan{States: [][]warehouse.AgentState{
+	plan, err := warehouse.PlanFromRows([][]warehouse.AgentState{
 		{{Vertex: v, Carried: warehouse.NoProduct}, {Vertex: v, Carried: warehouse.NoProduct}},
 		{{Vertex: v + 1, Carried: warehouse.NoProduct}},
-	}}
-	res := Run(w, plan, warehouse.Workload{Units: []int{1, 0}})
-	if len(res.Violations) != 1 || res.Violations[0].Agent != 1 || res.Violations[0].Condition != 1 {
-		t.Fatalf("violations = %v, want agent 1's row length", res.Violations)
+	})
+	if plan != nil {
+		t.Fatalf("ragged rows built a plan of %d agents over %d steps", plan.NumAgents(), plan.Horizon())
 	}
-	if res.Moves != 0 || res.Waits != 0 || res.Carrying != 0 || len(res.DeliveryTimes) != 0 || res.ServicedAt != -1 {
-		t.Errorf("ragged plan tallied: %+v", res)
+	var pv warehouse.PlanViolation
+	if !errors.As(err, &pv) {
+		t.Fatalf("error = %v, want a plan violation", err)
 	}
-	if len(res.Delivered) != w.NumProducts || res.Delivered[0] != 0 || res.Delivered[1] != 0 {
-		t.Errorf("Delivered = %v, want zeros", res.Delivered)
+	if pv.Agent != 1 || pv.Condition != 1 || pv.Detail != "agent has 1 states, want 2" {
+		t.Errorf("violation = %+v, want agent 1's row length", pv)
 	}
 }
 
@@ -155,9 +157,12 @@ func TestRunProductOutsideRho(t *testing.T) {
 	}
 	w := m.W
 	v := w.Stations[0]
-	plan := &warehouse.Plan{States: [][]warehouse.AgentState{
+	plan, err := warehouse.PlanFromRows([][]warehouse.AgentState{
 		{{Vertex: v, Carried: 999}, {Vertex: v, Carried: 999}, {Vertex: v, Carried: warehouse.NoProduct}},
-	}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := Run(w, plan, warehouse.Workload{Units: make([]int, w.NumProducts)})
 	if len(res.Violations) == 0 {
 		t.Fatal("plan carrying product 999 accepted")

@@ -55,9 +55,7 @@ type Tally struct {
 // Sweep replays plan p once, timestep by timestep, and returns the
 // violations ValidatePlan reports, in the same order. When tally is non-nil
 // the same pass also fills it against workload wl (wl is otherwise
-// unused). A carried product outside ρ is left out of the tally. A plan
-// whose agents have different horizons is reported and not replayed; its
-// tally stays empty with ServicedAt -1.
+// unused). A carried product outside ρ is left out of the tally.
 func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 	var out []PlanViolation
 	T := p.Horizon()
@@ -65,13 +63,6 @@ func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 	np := w.NumProducts
 	if tally != nil {
 		*tally = Tally{Delivered: make([]int, np), ServicedAt: -1}
-	}
-	for i := 0; i < c; i++ {
-		if len(p.States[i]) != T {
-			out = append(out, PlanViolation{Agent: i, OtherIdx: -1, Condition: 1,
-				Detail: fmt.Sprintf("agent has %d states, want %d", len(p.States[i]), T)})
-			return out
-		}
 	}
 	inRho := func(k ProductID) bool { return k >= 0 && int(k) < np }
 	// short counts the products still delivered below their demand.
@@ -98,18 +89,19 @@ func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 	nv := w.Graph.NumVertices()
 	occ := grid.GetInt32(4 * nv)
 	defer grid.PutInt32(occ)
-	states := p.States
 	moves, carrying := 0, 0
-	// One pass per timestep t places every agent at t and checks its move
-	// from t-1. The placement violations of t are held back in pending and
-	// follow the move violations of t-1, the order of checking each step's
-	// positions before the moves out of it.
+	// One pass per timestep t reads the rows of t-1 and t, places every
+	// agent at t and checks its move from t-1. The placement violations of
+	// t are held back in pending and follow the move violations of t-1, the
+	// order of checking each step's positions before the moves out of it.
 	var pending []PlanViolation
+	var prev Row
 	for t := 0; t < T; t++ {
+		cur := p.Row(t)
 		stamp, prevStamp := int32(t)+1, int32(t)
 		slot, prevSlot := 2*(t&1), 2*((t+1)&1)
-		for i, row := range states {
-			st := row[t]
+		for i := range cur {
+			st := cur.At(i)
 			// Conditions 1 and 2a at t: a vertex on the grid, held by one
 			// agent.
 			if v := st.Vertex; v < 0 || int(v) >= nv {
@@ -130,7 +122,7 @@ func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 				}
 				continue
 			}
-			from := row[t-1]
+			from := prev.At(i)
 			moved := from.Vertex != st.Vertex
 			// Condition 1: unit moves.
 			if moved && !w.Graph.Adjacent(from.Vertex, st.Vertex) {
@@ -139,7 +131,7 @@ func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 			}
 			// Condition 2b: edge swaps.
 			if v := st.Vertex; v >= 0 && int(v) < nv && occ[4*int(v)+prevSlot] == prevStamp {
-				if j := int(occ[4*int(v)+prevSlot+1]); j != i && states[j][t].Vertex == from.Vertex {
+				if j := int(occ[4*int(v)+prevSlot+1]); j != i && cur.At(j).Vertex == from.Vertex {
 					if i < j { // report each swap once
 						out = append(out, PlanViolation{Timestep: t - 1, Agent: i, OtherIdx: j, Condition: 2,
 							Detail: fmt.Sprintf("agents %d and %d swap across edge %d-%d", i, j, from.Vertex, st.Vertex)})
@@ -193,6 +185,7 @@ func Sweep(w *Warehouse, p *Plan, wl Workload, tally *Tally) []PlanViolation {
 		}
 		out = append(out, pending...)
 		pending = pending[:0]
+		prev = cur
 		if t > 0 && tally != nil && tally.ServicedAt < 0 && short == 0 {
 			tally.ServicedAt = t
 		}

@@ -182,26 +182,3 @@ func (wl Workload) TotalUnits() int {
 	}
 	return total
 }
-
-// AgentState is (π, φ): an agent's vertex and carried product at one step.
-type AgentState struct {
-	Vertex  grid.VertexID
-	Carried ProductID
-}
-
-// Plan is a T-timestep plan (π, φ) for c agents: States[i][t] is agent i's
-// state at timestep t (0-based; the paper's t ∈ [1, T] maps to t-1 here).
-type Plan struct {
-	States [][]AgentState
-}
-
-// NumAgents returns c, the team size.
-func (p *Plan) NumAgents() int { return len(p.States) }
-
-// Horizon returns T, the number of timesteps.
-func (p *Plan) Horizon() int {
-	if len(p.States) == 0 {
-		return 0
-	}
-	return len(p.States[0])
-}

@@ -1,6 +1,7 @@
 package warehouse
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/grid"
@@ -118,7 +119,16 @@ func TestWorkloadValidation(t *testing.T) {
 
 // handPlan builds a 1-agent plan walking a vertex/product sequence.
 func handPlan(states ...AgentState) *Plan {
-	return &Plan{States: [][]AgentState{states}}
+	return rowsPlan(states)
+}
+
+// rowsPlan builds a plan from per-agent rows of equal length.
+func rowsPlan(rows ...[]AgentState) *Plan {
+	p, err := PlanFromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 func TestValidatePlanAcceptsLegalTour(t *testing.T) {
@@ -168,10 +178,10 @@ func TestValidatePlanCatchesTeleport(t *testing.T) {
 func TestValidatePlanCatchesVertexConflict(t *testing.T) {
 	w := paperFig1(t)
 	v0 := w.Graph.At(grid.Coord{X: 0, Y: 0})
-	p := &Plan{States: [][]AgentState{
-		{{v0, NoProduct}},
-		{{v0, NoProduct}},
-	}}
+	p := rowsPlan(
+		[]AgentState{{v0, NoProduct}},
+		[]AgentState{{v0, NoProduct}},
+	)
 	vs := ValidatePlan(w, p)
 	if len(vs) != 1 || vs[0].Condition != 2 {
 		t.Errorf("violations = %v, want one condition-2", vs)
@@ -183,10 +193,10 @@ func TestValidatePlanCatchesEdgeSwap(t *testing.T) {
 	g := w.Graph
 	a := g.At(grid.Coord{X: 0, Y: 0})
 	b := g.At(grid.Coord{X: 1, Y: 0})
-	p := &Plan{States: [][]AgentState{
-		{{a, NoProduct}, {b, NoProduct}},
-		{{b, NoProduct}, {a, NoProduct}},
-	}}
+	p := rowsPlan(
+		[]AgentState{{a, NoProduct}, {b, NoProduct}},
+		[]AgentState{{b, NoProduct}, {a, NoProduct}},
+	)
 	vs := ValidatePlan(w, p)
 	if len(vs) != 1 || vs[0].Condition != 2 {
 		t.Errorf("violations = %v, want one condition-2 swap", vs)
@@ -278,12 +288,16 @@ func TestPlanAccessors(t *testing.T) {
 func TestValidatePlanRaggedStates(t *testing.T) {
 	w := paperFig1(t)
 	v0 := w.Graph.At(grid.Coord{X: 0, Y: 0})
-	p := &Plan{States: [][]AgentState{
+	p, err := PlanFromRows([][]AgentState{
 		{{v0, NoProduct}, {v0, NoProduct}},
 		{{v0, NoProduct}},
-	}}
-	if vs := ValidatePlan(w, p); len(vs) == 0 {
-		t.Error("ragged plan accepted")
+	})
+	if err == nil {
+		t.Fatalf("ragged plan accepted: %d agents over %d steps", p.NumAgents(), p.Horizon())
+	}
+	var v PlanViolation
+	if !errors.As(err, &v) || v.Agent != 1 || v.Condition != 1 {
+		t.Errorf("error = %v, want agent 1's row length", err)
 	}
 }
 
@@ -314,7 +328,7 @@ func TestProductOutsideRho(t *testing.T) {
 // plan, not a malformed one.
 func TestValidatePlanEmptyRows(t *testing.T) {
 	w := paperFig1(t)
-	p := &Plan{States: [][]AgentState{{}, {}}}
+	p := rowsPlan([]AgentState{}, []AgentState{})
 	if vs := ValidatePlan(w, p); len(vs) != 0 {
 		t.Errorf("violations = %v, want none", vs)
 	}

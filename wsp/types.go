@@ -32,7 +32,11 @@ type (
 	Warehouse = warehouse.Warehouse
 	// Workload is a per-product demand vector.
 	Workload = warehouse.Workload
-	// Plan is a realized multi-agent plan (paths plus pick/drop events).
+	// Plan is a realized multi-agent plan (paths plus pick/drop events):
+	// At(i, t) is agent i's vertex and carried product at timestep t,
+	// Row(t) every agent's state at t, NumAgents and Horizon its shape.
+	// States are stored timestep-major, packed into 8 bytes each; a solve
+	// returns the plan it realized.
 	Plan = warehouse.Plan
 	// ProductID indexes a product.
 	ProductID = warehouse.ProductID
